@@ -29,27 +29,23 @@ AmoebaCache::AmoebaCache(const SystemConfig &cfg)
     : numSets(cfg.l1Sets), setBudget(cfg.l1BytesPerSet),
       regionBytes(cfg.regionBytes),
       regionShift(std::countr_zero(cfg.regionBytes)),
-      sets(cfg.l1Sets)
+      slotCap(cfg.l1BytesPerSet / blockCost(WordRange(0, 0))),
+      sets(cfg.l1Sets), order(std::size_t(cfg.l1Sets) * slotCap)
 {
     PROTO_ASSERT(setBudget >= blockCost(WordRange::full(cfg.regionWords())),
                  "set budget cannot hold a full region");
 
-    // Worst case for the slot pool: the set packed with minimum-size
-    // (one-word) blocks. Constructing all slots here makes every later
-    // insert/evict allocation-free.
-    const unsigned slotCap = setBudget / blockCost(WordRange(0, 0));
-    PROTO_ASSERT(slotCap >= 1 && slotCap < 0xffff,
-                 "set slot capacity %u out of range", slotCap);
-    for (auto &set : sets) {
-        set.slots.resize(slotCap);
-        set.order.reserve(slotCap);
-        set.freeSlots.reserve(slotCap);
-        set.slotRegion.assign(slotCap, 0);
-        set.slotCover.assign(slotCap, 0);
-        set.slotLru.assign(slotCap, 0);
-        for (unsigned i = slotCap; i-- > 0;)
-            set.freeSlots.push_back(static_cast<std::uint16_t>(i));
-    }
+    // Reserve (not touch) the worst case, every set packed with
+    // minimum-size blocks: later inserts never reallocate, so block
+    // pointers stay stable and the steady state allocates nothing.
+    // Slots are constructed on first use, in first-use order, so the
+    // pages a run touches are the ones its working set needs.
+    const std::size_t cap = order.size();
+    slab.reserve(cap);
+    slotRegion.reserve(cap);
+    slotCover.reserve(cap);
+    slotLru.reserve(cap);
+    freeSlots.reserve(cap);
 }
 
 unsigned
@@ -67,13 +63,12 @@ AmoebaCache::setOf(Addr region) const
 AmoebaBlock *
 AmoebaCache::findCovering(Addr region, unsigned word)
 {
-    Set &set = sets[setOf(region)];
-    if (!((set.coverage >> word) & 1))
+    const unsigned si = setOf(region);
+    if (!((sets[si].coverage >> word) & 1))
         return nullptr;
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region &&
-            ((set.slotCover[s] >> word) & 1))
-            return &set.slots[s];
+    for (const std::uint32_t s : live(si)) {
+        if (slotRegion[s] == region && ((slotCover[s] >> word) & 1))
+            return &slab[s];
     }
     return nullptr;
 }
@@ -81,32 +76,30 @@ AmoebaCache::findCovering(Addr region, unsigned word)
 void
 AmoebaCache::blocksOfRegion(Addr region, BlockPtrs &out)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region)
-            out.push_back(&set.slots[s]);
+    for (const std::uint32_t s : live(setOf(region))) {
+        if (slotRegion[s] == region)
+            out.push_back(&slab[s]);
     }
 }
 
 void
 AmoebaCache::overlapping(Addr region, const WordRange &r, BlockPtrs &out)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned si = setOf(region);
     const WordMask m = r.mask();
-    if (!(set.coverage & m))
+    if (!(sets[si].coverage & m))
         return;
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region && (set.slotCover[s] & m))
-            out.push_back(&set.slots[s]);
+    for (const std::uint32_t s : live(si)) {
+        if (slotRegion[s] == region && (slotCover[s] & m))
+            out.push_back(&slab[s]);
     }
 }
 
 bool
 AmoebaCache::hasRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region)
+    for (const std::uint32_t s : live(setOf(region))) {
+        if (slotRegion[s] == region)
             return true;
     }
     return false;
@@ -115,9 +108,8 @@ AmoebaCache::hasRegion(Addr region)
 bool
 AmoebaCache::hasDirtyRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region && set.slots[s].dirty())
+    for (const std::uint32_t s : live(setOf(region))) {
+        if (slotRegion[s] == region && slab[s].dirty())
             return true;
     }
     return false;
@@ -126,31 +118,29 @@ AmoebaCache::hasDirtyRegion(Addr region)
 bool
 AmoebaCache::hasWritableRegion(Addr region)
 {
-    Set &set = sets[setOf(region)];
-    for (const std::uint16_t s : set.order) {
-        if (set.slotRegion[s] == region &&
-            set.slots[s].state != BlockState::S)
+    for (const std::uint32_t s : live(setOf(region))) {
+        if (slotRegion[s] == region && slab[s].state != BlockState::S)
             return true;
     }
     return false;
 }
 
 AmoebaBlock
-AmoebaCache::takeAt(Set &set, std::size_t pos)
+AmoebaCache::takeAt(unsigned si, std::size_t pos)
 {
-    const std::uint16_t s = set.order[pos];
-    AmoebaBlock out = std::move(set.slots[s]);
-    set.slots[s] = AmoebaBlock();
-    set.slotCover[s] = 0;
-    set.order.erase(set.order.begin() +
-                    static_cast<std::ptrdiff_t>(pos));
-    set.freeSlots.push_back(s);
+    Set &set = sets[si];
+    std::uint32_t *ids = &order[std::size_t(si) * slotCap];
+    const std::uint32_t s = ids[pos];
+    AmoebaBlock out = std::move(slab[s]);
+    std::copy(ids + pos + 1, ids + set.count, ids + pos);
+    --set.count;
+    freeSlots.push_back(s);
     set.bytesUsed -= blockCost(out.range);
     // Coverage has no per-bit refcount; rebuild it from the compact
     // masks of the survivors (removal is off the steady-state path).
     WordMask cov = 0;
-    for (const std::uint16_t live : set.order)
-        cov |= set.slotCover[live];
+    for (const std::uint32_t survivor : live(si))
+        cov |= slotCover[survivor];
     set.coverage = cov;
     return out;
 }
@@ -158,64 +148,81 @@ AmoebaCache::takeAt(Set &set, std::size_t pos)
 void
 AmoebaCache::makeRoom(Addr region, const WordRange &r, Evicted &out)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned si = setOf(region);
     const unsigned need = blockCost(r);
 
-    while (set.bytesUsed + need > setBudget) {
-        PROTO_ASSERT(!set.order.empty(), "set over budget while empty");
+    while (sets[si].bytesUsed + need > setBudget) {
+        const std::span<const std::uint32_t> ids = live(si);
+        PROTO_ASSERT(!ids.empty(), "set over budget while empty");
         std::size_t victim = 0;
-        for (std::size_t i = 1; i < set.order.size(); ++i) {
-            if (set.slotLru[set.order[i]] <
-                set.slotLru[set.order[victim]])
+        for (std::size_t i = 1; i < ids.size(); ++i) {
+            if (slotLru[ids[i]] < slotLru[ids[victim]])
                 victim = i;
         }
-        out.push_back(takeAt(set, victim));
+        out.push_back(takeAt(si, victim));
     }
+}
+
+AmoebaBlock *
+AmoebaCache::placeBlock(unsigned si, AmoebaBlock &&blk)
+{
+    Set &set = sets[si];
+    const WordMask m = blk.range.mask();
+    std::uint32_t s;
+    if (!freeSlots.empty()) {
+        s = freeSlots.back();
+        freeSlots.pop_back();
+        slotRegion[s] = blk.region;
+        slotCover[s] = m;
+        slotLru[s] = blk.lruStamp;
+        slab[s] = std::move(blk);
+    } else {
+        s = static_cast<std::uint32_t>(slab.size());
+        slotRegion.push_back(blk.region);
+        slotCover.push_back(m);
+        slotLru.push_back(blk.lruStamp);
+        slab.push_back(std::move(blk));
+    }
+    order[std::size_t(si) * slotCap + set.count++] = s;
+    set.coverage |= m;
+    set.bytesUsed += blockCost(slab[s].range);
+    return &slab[s];
 }
 
 AmoebaBlock *
 AmoebaCache::insert(AmoebaBlock blk)
 {
-    Set &set = sets[setOf(blk.region)];
-    const unsigned cost = blockCost(blk.range);
-    PROTO_ASSERT(set.bytesUsed + cost <= setBudget,
-                 "insert without room (set %u)", setOf(blk.region));
+    const unsigned si = setOf(blk.region);
+    const Set &set = sets[si];
+    PROTO_ASSERT(set.bytesUsed + blockCost(blk.range) <= setBudget,
+                 "insert without room (set %u)", si);
     PROTO_ASSERT(blk.words.size() == blk.range.words(),
                  "block data size mismatch");
     const WordMask m = blk.range.mask();
     if (set.coverage & m) {
-        for (const std::uint16_t s : set.order) {
-            PROTO_ASSERT(set.slotRegion[s] != blk.region ||
-                         !(set.slotCover[s] & m),
+        for (const std::uint32_t s : live(si)) {
+            PROTO_ASSERT(slotRegion[s] != blk.region || !(slotCover[s] & m),
                          "overlapping insert into region %llx",
                          static_cast<unsigned long long>(blk.region));
         }
     }
-    PROTO_ASSERT(!set.freeSlots.empty(), "set slot pool exhausted");
+    PROTO_ASSERT(set.count < slotCap, "set slot pool exhausted");
     blk.lruStamp = ++lruClock;
-    const std::uint16_t s = set.freeSlots.back();
-    set.freeSlots.pop_back();
-    set.slotRegion[s] = blk.region;
-    set.slotCover[s] = m;
-    set.slotLru[s] = blk.lruStamp;
-    set.coverage |= m;
-    set.slots[s] = std::move(blk);
-    set.order.push_back(s);
-    set.bytesUsed += cost;
-    return &set.slots[s];
+    return placeBlock(si, std::move(blk));
 }
 
 AmoebaBlock
 AmoebaCache::removeExact(Addr region, const WordRange &r)
 {
-    Set &set = sets[setOf(region)];
+    const unsigned si = setOf(region);
     const WordMask m = r.mask();
-    for (std::size_t pos = 0; pos < set.order.size(); ++pos) {
-        const std::uint16_t s = set.order[pos];
+    const std::span<const std::uint32_t> ids = live(si);
+    for (std::size_t pos = 0; pos < ids.size(); ++pos) {
+        const std::uint32_t s = ids[pos];
         // A contiguous mask determines its range, so cover equality
         // is exact-range equality.
-        if (set.slotRegion[s] == region && set.slotCover[s] == m)
-            return takeAt(set, pos);
+        if (slotRegion[s] == region && slotCover[s] == m)
+            return takeAt(si, pos);
     }
     panic("removeExact: block %llx %s not resident",
           static_cast<unsigned long long>(region), r.toString().c_str());
@@ -225,18 +232,7 @@ void
 AmoebaCache::touchLru(AmoebaBlock *blk)
 {
     blk->lruStamp = ++lruClock;
-    Set &set = sets[setOf(blk->region)];
-    set.slotLru[static_cast<std::size_t>(blk - set.slots.data())] =
-        blk->lruStamp;
-}
-
-std::size_t
-AmoebaCache::blockCount() const
-{
-    std::size_t n = 0;
-    for (const auto &set : sets)
-        n += set.order.size();
-    return n;
+    slotLru[static_cast<std::size_t>(blk - slab.data())] = blk->lruStamp;
 }
 
 unsigned
@@ -246,37 +242,16 @@ AmoebaCache::setOccupancyBytes(unsigned set_index) const
 }
 
 void
-AmoebaCache::placeBlock(AmoebaBlock blk)
-{
-    Set &set = sets[setOf(blk.region)];
-    const unsigned cost = blockCost(blk.range);
-    PROTO_ASSERT(set.bytesUsed + cost <= setBudget,
-                 "restored block does not fit (set %u)",
-                 setOf(blk.region));
-    PROTO_ASSERT(!set.freeSlots.empty(), "set slot pool exhausted");
-    const WordMask m = blk.range.mask();
-    const std::uint16_t s = set.freeSlots.back();
-    set.freeSlots.pop_back();
-    set.slotRegion[s] = blk.region;
-    set.slotCover[s] = m;
-    set.slotLru[s] = blk.lruStamp;
-    set.coverage |= m;
-    set.slots[s] = std::move(blk);
-    set.order.push_back(s);
-    set.bytesUsed += cost;
-}
-
-void
 AmoebaCache::saveState(Serializer &s) const
 {
     s.writeU64(lruClock);
     s.writeU32(numSets);
-    for (const auto &set : sets) {
-        s.writeU32(static_cast<std::uint32_t>(set.order.size()));
+    for (unsigned si = 0; si < numSets; ++si) {
+        s.writeU32(sets[si].count);
         // Walk in insertion order so restore reproduces the order
         // array (and hence every scan/victim tie-break) exactly.
-        for (const std::uint16_t slot : set.order) {
-            const AmoebaBlock &b = set.slots[slot];
+        for (const std::uint32_t slot : live(si)) {
+            const AmoebaBlock &b = slab[slot];
             s.writeU64(b.region);
             s.writeRaw(b.range);
             s.writeU8(static_cast<std::uint8_t>(b.state));
@@ -296,30 +271,43 @@ AmoebaCache::restoreState(Deserializer &d)
 {
     PROTO_ASSERT(blockCount() == 0,
                  "cache restore requires a fresh cache");
+    const unsigned region_words = regionBytes / kWordBytes;
     lruClock = d.readU64();
     if (d.readU32() != numSets)
         return false;
     for (unsigned si = 0; si < numSets; ++si) {
         const std::uint32_t n = d.readU32();
-        if (d.failed() || n > sets[si].slots.size())
+        if (d.failed() || n > slotCap)
             return false;
         for (std::uint32_t i = 0; i < n; ++i) {
             AmoebaBlock b;
             b.region = d.readU64();
             d.readRaw(b.range);
-            b.state = static_cast<BlockState>(d.readU8());
+            const std::uint8_t state = d.readU8();
             b.touched = d.readU64();
             b.fetchPc = d.readU64();
             b.missWord = d.readU8();
             b.lruStamp = d.readU64();
             const std::uint32_t nw = d.readU32();
-            if (d.failed() || nw != b.range.words() ||
-                setOf(b.region) != si)
+            // Everything below must hold before the range becomes a
+            // mask or the block takes a slot.
+            if (d.failed() || b.range.empty() ||
+                b.range.end >= region_words ||
+                b.missWord >= region_words ||
+                state > static_cast<std::uint8_t>(BlockState::M) ||
+                nw != b.range.words() || setOf(b.region) != si ||
+                sets[si].bytesUsed + blockCost(b.range) > setBudget)
                 return false;
+            b.state = static_cast<BlockState>(state);
+            const WordMask m = b.range.mask();
+            for (const std::uint32_t s : live(si)) {
+                if (slotRegion[s] == b.region && (slotCover[s] & m))
+                    return false;
+            }
             b.words.assign(nw, 0);
             for (std::uint32_t w = 0; w < nw; ++w)
                 b.words[w] = d.readU64();
-            placeBlock(std::move(b));
+            placeBlock(si, std::move(b));
         }
     }
     return !d.failed();

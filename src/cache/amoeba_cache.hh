@@ -9,13 +9,16 @@
  * the multi-block coherence snoops (CHECK / GATHER, Fig. 3) scan one
  * set only.
  *
- * Storage layout: block payloads are inline (no per-block heap words),
- * and each set is a fixed slot pool — sized at construction for the
- * worst case of minimum-size blocks — plus a small order array that
- * preserves insertion order exactly like the former std::list, while
- * keeping block pointers stable across unrelated inserts and removals.
- * The multi-block snoop helpers fill caller-provided scratch buffers,
- * so the steady-state lookup/evict/insert loop allocates nothing.
+ * Storage layout: block payloads are inline (no per-block heap words).
+ * Slots come from one per-cache slab whose worst-case capacity (every
+ * set packed with minimum-size blocks) is reserved, not touched, at
+ * construction: slots are constructed on first use and packed in
+ * first-use order, and freed slots go on a single LIFO free list. Each
+ * set keeps an order array of slot ids that preserves insertion order
+ * exactly like the former std::list, while block pointers stay stable
+ * across unrelated inserts and removals. The multi-block snoop helpers
+ * fill caller-provided scratch buffers, so the steady-state
+ * lookup/evict/insert loop allocates nothing.
  *
  * The fixed-granularity baseline (MESI) is the degenerate case where
  * every block spans its whole region: with the default 288-byte sets
@@ -26,6 +29,7 @@
 #define PROTOZOA_CACHE_AMOEBA_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/config.hh"
@@ -151,14 +155,16 @@ class AmoebaCache
     void
     forEach(F &&fn)
     {
-        for (auto &set : sets)
-            for (const std::uint16_t s : set.order)
-                fn(set.slots[s]);
+        for (unsigned si = 0; si < numSets; ++si)
+            for (const std::uint32_t s : live(si))
+                fn(slab[s]);
     }
 
-    std::size_t blockCount() const;
+    std::size_t blockCount() const { return slab.size() - freeSlots.size(); }
     unsigned setOccupancyBytes(unsigned set_index) const;
     unsigned bytesPerSet() const { return setBudget; }
+    /** Slots constructed so far: the slab's first-use high-water mark. */
+    std::size_t slotsInUse() const { return slab.size(); }
 
     /**
      * Serialize every resident block (exact LRU stamps and per-set
@@ -174,27 +180,21 @@ class AmoebaCache
 
   private:
     /**
-     * One set: a fixed pool of block slots plus the insertion-order
-     * index array. Slot addresses never change, so block pointers
-     * remain stable exactly as with the former std::list; removing an
-     * order entry shifts only 16-bit indices.
+     * Per-set bookkeeping. The set's blocks are the first `count` slot
+     * ids of its stride in `order`, in insertion order; removing one
+     * shifts only the ids behind it.
      *
      * The scan-heavy lookups never touch the wide AmoebaBlock slots
      * until a candidate matches: slotRegion/slotCover/slotLru mirror
-     * the tag, range mask, and LRU stamp of each live slot in compact
-     * parallel arrays, and `coverage` holds the OR of every live
-     * block's word mask so a snoop for words the set does not hold
-     * anywhere is rejected with a single AND. Entries of freed slots
-     * are stale but unreachable (scans walk `order` only).
+     * the tag, range mask, and LRU stamp of each slot in compact
+     * arrays, and `coverage` holds the OR of every live block's word
+     * mask so a snoop for words the set does not hold anywhere is
+     * rejected with a single AND. Entries of freed slots are stale but
+     * unreachable (scans walk `order` only).
      */
     struct Set
     {
-        std::vector<AmoebaBlock> slots;
-        std::vector<std::uint16_t> order;
-        std::vector<std::uint16_t> freeSlots;
-        std::vector<Addr> slotRegion;
-        std::vector<WordMask> slotCover;
-        std::vector<std::uint64_t> slotLru;
+        unsigned count = 0;
         unsigned bytesUsed = 0;
         /** OR of live blocks' range masks, across all regions. */
         WordMask coverage = 0;
@@ -202,18 +202,36 @@ class AmoebaCache
 
     static unsigned blockCost(const WordRange &r);
 
-    /** Remove order position @p pos of @p set; returns the block. */
-    AmoebaBlock takeAt(Set &set, std::size_t pos);
+    /** Slot ids of set @p si in insertion order. */
+    std::span<const std::uint32_t>
+    live(unsigned si) const
+    {
+        return {&order[std::size_t(si) * slotCap], sets[si].count};
+    }
 
-    /** Insert preserving blk.lruStamp (snapshot restore path). */
-    void placeBlock(AmoebaBlock blk);
+    /** Remove order position @p pos of set @p si; returns the block. */
+    AmoebaBlock takeAt(unsigned si, std::size_t pos);
+
+    /** Store @p blk in a slot of set @p si, keeping blk.lruStamp. */
+    AmoebaBlock *placeBlock(unsigned si, AmoebaBlock &&blk);
 
     unsigned numSets;
     unsigned setBudget;
     unsigned regionBytes;
     unsigned regionShift;
+    /** Most blocks one set can hold (all minimum-size). */
+    unsigned slotCap;
     std::uint64_t lruClock = 0;
     std::vector<Set> sets;
+    /** Per-set insertion-order slot ids, at stride slotCap. */
+    std::vector<std::uint32_t> order;
+    /** Block slots, capacity reserved for every set full. */
+    std::vector<AmoebaBlock> slab;
+    std::vector<Addr> slotRegion;
+    std::vector<WordMask> slotCover;
+    std::vector<std::uint64_t> slotLru;
+    /** Freed slot ids, reused last-freed first. */
+    std::vector<std::uint32_t> freeSlots;
 };
 
 } // namespace protozoa

@@ -4,10 +4,19 @@
 #include <bit>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hh"
 
 namespace protozoa {
+
+namespace {
+
+/** What an untouched L2 set holds; static storage zeroes the padding
+ *  too, so it matches a value-initialized entry byte for byte. */
+const DirController::L2Entry kBlankEntry{};
+
+} // namespace
 
 DirController::DirController(TileId id, const SystemConfig &config,
                              EventQueue &eq, Router &rt,
@@ -20,9 +29,8 @@ DirController::DirController(TileId id, const SystemConfig &config,
     const std::uint64_t blocks = cfg.l2BytesPerTile / cfg.regionBytes;
     setsPerTile = static_cast<unsigned>(blocks / cfg.l2Assoc);
     PROTO_ASSERT(setsPerTile > 0, "L2 tile too small");
-    sets.resize(setsPerTile);
-    for (auto &set : sets)
-        set.resize(cfg.l2Assoc);
+    slab.reserve(std::size_t(setsPerTile) * cfg.l2Assoc);
+    setBase.resize(setsPerTile);
 
     if (cfg.directory == DirectoryKind::TaglessBloom) {
         bloomReaders = std::make_unique<CountingBloomSharers>(
@@ -144,10 +152,34 @@ DirController::setIndexOf(Addr region) const
                                  setsPerTile);
 }
 
+const DirController::L2Entry *
+DirController::entriesOf(unsigned s) const
+{
+    const std::uint32_t base = setBase[s];
+    return base ? &slab[std::size_t(base - 1) * cfg.l2Assoc] : nullptr;
+}
+
+DirController::L2Entry *
+DirController::entriesOf(unsigned s)
+{
+    return const_cast<L2Entry *>(std::as_const(*this).entriesOf(s));
+}
+
+DirController::L2Entry *
+DirController::materialize(unsigned s)
+{
+    setBase[s] = static_cast<std::uint32_t>(materializedSets() + 1);
+    slab.resize(slab.size() + cfg.l2Assoc);
+    return entriesOf(s);
+}
+
 DirController::L2Entry *
 DirController::lookup(Addr region)
 {
-    for (auto &entry : sets[setIndexOf(region)]) {
+    L2Entry *set = entriesOf(setIndexOf(region));
+    if (!set)
+        return nullptr;
+    for (L2Entry &entry : std::span(set, cfg.l2Assoc)) {
         if (entry.valid && entry.region == region)
             return &entry;
     }
@@ -263,7 +295,11 @@ DirController::startRequest(const CoherenceMsg &msg)
 
     // L2 miss: reserve a slot, possibly recalling an inclusive victim.
     ++stats.l2Misses;
-    auto &set = sets[setIndexOf(msg.region)];
+    const unsigned si = setIndexOf(msg.region);
+    L2Entry *entries = entriesOf(si);
+    if (!entries)
+        entries = materialize(si);
+    const std::span<L2Entry> set(entries, cfg.l2Assoc);
     L2Entry *slot = nullptr;
     for (auto &entry : set) {
         if (!entry.valid) {
@@ -297,7 +333,7 @@ DirController::startRequest(const CoherenceMsg &msg)
             }
             if (!pinned)
                 panic("dir %u: no evictable L2 entry in set %u",
-                      tileId, setIndexOf(msg.region));
+                      tileId, si);
             active.erase(msg.region);
             --stats.requests;
             --stats.l2Misses;
@@ -800,11 +836,14 @@ DirController::saveState(Serializer &s) const
 
     // L2 sets raw, slot by slot: preserves slot positions (and hence
     // the lookup / victim scan order) exactly, stale slots included.
+    // An untouched set reads as value-initialized entries.
     s.writeU32(setsPerTile);
     s.writeU32(cfg.l2Assoc);
-    for (const auto &set : sets)
-        for (const L2Entry &e : set)
-            s.writeRaw(e);
+    for (unsigned si = 0; si < setsPerTile; ++si) {
+        const L2Entry *set = entriesOf(si);
+        for (unsigned w = 0; w < cfg.l2Assoc; ++w)
+            s.writeRaw(set ? set[w] : kBlankEntry);
+    }
 
     // Active transactions and wait queues, replayed at restore in the
     // same table order (per-region FIFO order is what matters).
@@ -841,9 +880,36 @@ DirController::restoreState(Deserializer &d)
 
     if (d.readU32() != setsPerTile || d.readU32() != cfg.l2Assoc)
         return false;
-    for (auto &set : sets)
-        for (L2Entry &e : set)
+    std::vector<L2Entry> in(cfg.l2Assoc);
+    for (unsigned si = 0; si < setsPerTile; ++si) {
+        bool touched = false;
+        for (unsigned w = 0; w < cfg.l2Assoc; ++w) {
+            L2Entry &e = in[w];
             d.readRaw(e);
+            if (d.failed())
+                return false;
+            if (e.wordCount != 0 && e.wordCount != cfg.regionWords())
+                return false;
+            if (e.valid) {
+                if (e.region % cfg.regionBytes != 0 ||
+                    cfg.homeTileOf(e.region) != tileId ||
+                    setIndexOf(e.region) != si)
+                    return false;
+                for (unsigned o = 0; o < w; ++o) {
+                    if (in[o].valid && in[o].region == e.region)
+                        return false;
+                }
+            }
+            touched = touched ||
+                std::memcmp(&e, &kBlankEntry, sizeof(L2Entry)) != 0;
+        }
+        // Only sets holding a non-default entry take slab space.
+        L2Entry *set = entriesOf(si);
+        if (!set && touched)
+            set = materialize(si);
+        if (set)
+            std::copy(in.begin(), in.end(), set);
+    }
 
     const std::uint32_t txns = d.readU32();
     if (d.failed())

@@ -32,6 +32,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,10 @@ class DirController
     forEachEntry(F &&fn) const
     {
         for (unsigned s = 0; s < setsPerTile; ++s) {
-            for (const L2Entry &e : sets[s]) {
+            const L2Entry *set = entriesOf(s);
+            if (!set)
+                continue;
+            for (const L2Entry &e : std::span(set, cfg.l2Assoc)) {
                 if (!e.valid)
                     continue;
                 fn(EntrySnap{e.region, e.filling, e.dirty,
@@ -218,8 +222,16 @@ class DirController
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
 
-  private:
-    /** One L2 block + directory entry. */
+    /** L2 sets given entries so far (each by its first fill). */
+    std::size_t materializedSets() const
+    {
+        return slab.size() / cfg.l2Assoc;
+    }
+
+    /**
+     * One L2 block + directory entry. Snapshots carry it raw, set by
+     * set; a value-initialized entry is all zero bytes.
+     */
     struct L2Entry
     {
         bool valid = false;
@@ -242,6 +254,7 @@ class DirController
         unsigned wordCount = 0;
     };
 
+  private:
     /** An in-flight transaction (request or inclusive-eviction recall). */
     struct Txn
     {
@@ -272,6 +285,11 @@ class DirController
     void sendMsg(CoherenceMsg msg, Cycle when);
 
     unsigned setIndexOf(Addr region) const;
+    /** The l2Assoc entries of set @p s, or nullptr while untouched. */
+    L2Entry *entriesOf(unsigned s);
+    const L2Entry *entriesOf(unsigned s) const;
+    /** Give untouched set @p s its entries at the end of the slab. */
+    L2Entry *materialize(unsigned s);
     L2Entry *lookup(Addr region);
     /** True when a region has an active txn or queued messages. */
     bool busy(Addr region) const;
@@ -319,7 +337,15 @@ class DirController
     ConformanceCoverage *coverage;
 
     unsigned setsPerTile;
-    std::vector<std::vector<L2Entry>> sets;
+    /**
+     * L2 entries of the touched sets, l2Assoc apiece in order of first
+     * fill. Capacity for every set is reserved (address space only) at
+     * construction, so materializing a set never reallocates and entry
+     * pointers stay stable.
+     */
+    std::vector<L2Entry> slab;
+    /** Per set: 1 + its block index in slab, or 0 while untouched. */
+    std::vector<std::uint32_t> setBase;
 
     // Per-region transaction and wait-queue bookkeeping: flat
     // open-addressing tables plus a pooled FIFO arena, so the

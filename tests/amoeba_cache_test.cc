@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/amoeba_cache.hh"
 
 namespace protozoa {
@@ -244,6 +246,75 @@ TEST(AmoebaCache, ForEachVisitsEverything)
     unsigned count = 0;
     cache.forEach([&](const AmoebaBlock &) { ++count; });
     EXPECT_EQ(count, 3u);
+}
+
+// ---- slab storage: first-use slots, one free list -------------------
+
+/** Regions that map to set 1 of the tiny config. */
+Addr
+regionInSet1(unsigned n)
+{
+    return regionInSet0(n) + tinyCfg().regionBytes;
+}
+
+TEST(AmoebaCache, FreshCacheHasNoSlots)
+{
+    AmoebaCache cache(tinyCfg());
+    EXPECT_EQ(cache.slotsInUse(), 0u);
+    EXPECT_EQ(cache.blockCount(), 0u);
+    EXPECT_EQ(cache.findCovering(regionInSet0(0), 0), nullptr);
+}
+
+TEST(AmoebaCache, FreedSlotIsReusedByAnotherSet)
+{
+    AmoebaCache cache(tinyCfg());
+    AmoebaBlock *a = cache.insert(makeBlock(regionInSet0(0), WordRange(0, 7)));
+    EXPECT_EQ(cache.slotsInUse(), 1u);
+    cache.removeExact(regionInSet0(0), WordRange(0, 7));
+    EXPECT_EQ(cache.slotsInUse(), 1u);
+
+    AmoebaBlock *b = cache.insert(makeBlock(regionInSet1(0), WordRange(2, 3)));
+    EXPECT_EQ(b, a);   // same slot, now holding a set-1 block
+    EXPECT_EQ(cache.slotsInUse(), 1u);
+    EXPECT_EQ(cache.findCovering(regionInSet1(0), 2), b);
+    EXPECT_EQ(cache.findCovering(regionInSet0(0), 2), nullptr);
+
+    cache.insert(makeBlock(regionInSet0(1), WordRange(0, 0)));
+    EXPECT_EQ(cache.slotsInUse(), 2u);   // free list empty: slab grows
+}
+
+TEST(AmoebaCache, OrderSurvivesInterleavedInsertAndEvict)
+{
+    AmoebaCache cache(tinyCfg());
+    auto full = [](Addr r) { return makeBlock(r, WordRange(0, 7)); };
+    // Set 0 fills to its four ways while set 1 gets blocks in between,
+    // so the slots of both sets interleave in the slab.
+    for (unsigned i = 0; i < 4; ++i) {
+        cache.insert(full(regionInSet0(i)));
+        cache.insert(full(regionInSet1(i)));
+    }
+    cache.removeExact(regionInSet1(1), WordRange(0, 7));
+    AmoebaCache::Evicted evicted;
+    cache.makeRoom(regionInSet0(7), WordRange(0, 7), evicted);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0].region, regionInSet0(0));   // LRU of set 0
+    cache.insert(full(regionInSet0(7)));    // takes set 0's freed slot
+    cache.insert(full(regionInSet1(5)));    // takes set 1's freed slot
+    EXPECT_EQ(cache.slotsInUse(), 8u);
+    EXPECT_EQ(cache.blockCount(), 8u);
+
+    std::vector<Addr> seen;
+    cache.forEach([&](const AmoebaBlock &b) { seen.push_back(b.region); });
+    const std::vector<Addr> want = {
+        regionInSet0(1), regionInSet0(2), regionInSet0(3), regionInSet0(7),
+        regionInSet1(0), regionInSet1(2), regionInSet1(3), regionInSet1(5)};
+    EXPECT_EQ(seen, want);
+
+    // Insertion order also breaks LRU ties and picks the next victim.
+    evicted.clear();
+    cache.makeRoom(regionInSet1(9), WordRange(0, 7), evicted);
+    ASSERT_EQ(evicted.size(), 1u);
+    EXPECT_EQ(evicted[0].region, regionInSet1(0));
 }
 
 } // namespace

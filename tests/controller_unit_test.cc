@@ -31,6 +31,34 @@ TEST(DirView, AbsentRegionIsNotPresent)
     EXPECT_TRUE(view.writers.none());
 }
 
+TEST(DirView, UntouchedSetIsAbsentAndStaysUnmaterialized)
+{
+    SystemConfig cfg = wordCfg(ProtocolKind::ProtozoaMW);
+    ProtocolDriver d(cfg);
+    const Addr a = 0x9000;
+    // Same home tile, next L2 set (sets interleave above the tiles).
+    const Addr other = a + Addr(cfg.l2Tiles) * cfg.regionBytes;
+    const TileId home = d.homeOf(a);
+    ASSERT_EQ(d.homeOf(other), home);
+    DirController &dir = d.sys.dir(home);
+    EXPECT_EQ(dir.materializedSets(), 0u);
+
+    d.load(0, a);
+    EXPECT_EQ(dir.materializedSets(), 1u);
+    EXPECT_TRUE(d.dirView(a).present);
+    // Queries of an untouched set find nothing and materialize nothing.
+    EXPECT_FALSE(d.dirView(other).present);
+    EXPECT_NE(dir.describeRegion(other).find("no entry"),
+              std::string::npos);
+    unsigned entries = 0;
+    dir.forEachEntry([&](const DirController::EntrySnap &e) {
+        EXPECT_EQ(e.region, a);
+        ++entries;
+    });
+    EXPECT_EQ(entries, 1u);
+    EXPECT_EQ(dir.materializedSets(), 1u);
+}
+
 TEST(DirView, DirtyBitTracksWritebacks)
 {
     ProtocolDriver d(wordCfg(ProtocolKind::ProtozoaMW));

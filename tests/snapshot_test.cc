@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -370,6 +371,306 @@ TEST(SnapshotReject, MissingFile)
     EXPECT_FALSE(
         fresh.restoreSnapshotFile("no_such_snapshot_file.pzsn", &err));
     EXPECT_FALSE(err.empty());
+}
+
+// ---- rejection: bad cache contents ------------------------------------
+//
+// Component images crafted field by field (L1) or patched into a saved
+// blank tile (L2). Each must be refused by restoreState — never an
+// assertion, a panic, or an out-of-range shift.
+
+/** One L1 block record in AmoebaCache::saveState's layout. */
+struct L1Record
+{
+    Addr region = 0;
+    WordRange range;
+    std::uint8_t state = 0;
+    std::uint8_t missWord = 0;
+};
+
+/** The L1 set the crafted images fill. */
+constexpr unsigned kL1Set = 3;
+
+/** An L1 image holding @p blocks in set kL1Set (count @p count). */
+std::vector<std::uint8_t>
+l1Image(const SystemConfig &cfg, const std::vector<L1Record> &blocks,
+        std::uint32_t count)
+{
+    Serializer s;
+    s.writeU64(100);   // LRU clock
+    s.writeU32(cfg.l1Sets);
+    for (unsigned si = 0; si < cfg.l1Sets; ++si) {
+        if (si != kL1Set) {
+            s.writeU32(0);
+            continue;
+        }
+        s.writeU32(count);
+        std::uint64_t stamp = 1;
+        for (const L1Record &b : blocks) {
+            s.writeU64(b.region);
+            s.writeRaw(b.range);
+            s.writeU8(b.state);
+            s.writeU64(0);     // touched
+            s.writeU64(0x40);  // fetch PC
+            s.writeU8(b.missWord);
+            s.writeU64(stamp++);
+            s.writeU32(b.range.words());
+            for (unsigned w = 0; w < b.range.words(); ++w)
+                s.writeU64(w);
+        }
+    }
+    return s.bytes();
+}
+
+bool
+restoresL1(const SystemConfig &cfg, const std::vector<L1Record> &blocks,
+           std::uint32_t count)
+{
+    const std::vector<std::uint8_t> img = l1Image(cfg, blocks, count);
+    AmoebaCache cache(cfg);
+    Deserializer d(img.data(), img.size());
+    return cache.restoreState(d);
+}
+
+bool
+restoresL1(const SystemConfig &cfg, const std::vector<L1Record> &blocks)
+{
+    return restoresL1(cfg, blocks,
+                      static_cast<std::uint32_t>(blocks.size()));
+}
+
+/** Region @p n of L1 set kL1Set. */
+Addr
+l1Region(const SystemConfig &cfg, unsigned n)
+{
+    return (Addr(n) * cfg.l1Sets + kL1Set) * cfg.regionBytes;
+}
+
+TEST(SnapshotReject, L1WellFormedBlocksAreAccepted)
+{
+    SystemConfig cfg;
+    const unsigned last = cfg.regionWords() - 1;
+    EXPECT_TRUE(restoresL1(cfg, {{l1Region(cfg, 0), {0, 2}, 0},
+                                 {l1Region(cfg, 0), {3, last}, 2},
+                                 {l1Region(cfg, 1), {0, last}, 1}}));
+}
+
+TEST(SnapshotReject, L1EmptyRange)
+{
+    SystemConfig cfg;
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {3, 2}, 0}}));
+}
+
+TEST(SnapshotReject, L1RangePastRegion)
+{
+    SystemConfig cfg;
+    const unsigned words = cfg.regionWords();
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {0, words}, 0}}));
+    // Past the word-mask width too: a mask built from it would shift
+    // by more than the mask's bits.
+    EXPECT_FALSE(
+        restoresL1(cfg, {{l1Region(cfg, 0), {kWordMaskBits, 40}, 0}}));
+}
+
+TEST(SnapshotReject, L1MissWordPastRegion)
+{
+    SystemConfig cfg;
+    const auto words = static_cast<std::uint8_t>(cfg.regionWords());
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {0, 1}, 0, words}}));
+}
+
+TEST(SnapshotReject, L1UnknownState)
+{
+    SystemConfig cfg;
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {0, 1}, 3}}));
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {0, 1}, 0xff}}));
+}
+
+TEST(SnapshotReject, L1OverlappingBlocksOfOneRegion)
+{
+    SystemConfig cfg;
+    EXPECT_FALSE(restoresL1(cfg, {{l1Region(cfg, 0), {0, 3}, 0},
+                                  {l1Region(cfg, 0), {3, 5}, 0}}));
+}
+
+TEST(SnapshotReject, L1SetBudgetOverflow)
+{
+    // Full-region blocks: four fill the default 288-byte set exactly.
+    SystemConfig cfg;
+    const WordRange full = WordRange::full(cfg.regionWords());
+    std::vector<L1Record> blocks;
+    for (unsigned i = 0; i < 4; ++i)
+        blocks.push_back({l1Region(cfg, i), full, 0});
+    EXPECT_TRUE(restoresL1(cfg, blocks));
+    blocks.push_back({l1Region(cfg, 4), full, 0});
+    EXPECT_FALSE(restoresL1(cfg, blocks));
+}
+
+TEST(SnapshotReject, L1SlotPoolOverflow)
+{
+    // One-word blocks: the default set has 18 slots.
+    SystemConfig cfg;
+    const unsigned slots =
+        cfg.l1BytesPerSet / (AmoebaCache::kTagBytes + kWordBytes);
+    std::vector<L1Record> blocks;
+    for (unsigned i = 0; i < slots; ++i)
+        blocks.push_back({l1Region(cfg, i), {0, 0}, 0});
+    EXPECT_TRUE(restoresL1(cfg, blocks));
+    EXPECT_FALSE(restoresL1(cfg, blocks, slots + 1));
+}
+
+/**
+ * A saved tile-0 image of a fresh System: every L2 set untouched, so
+ * entries can be patched in at computed offsets.
+ */
+class DirImage
+{
+  public:
+    explicit DirImage(const SystemConfig &cfg)
+        : cfg(cfg), sys(cfg, bench(cfg))
+    {
+        Serializer s;
+        sys.dir(0).saveState(s);
+        bytes = s.bytes();
+        setsPerTile = static_cast<unsigned>(
+            cfg.l2BytesPerTile / cfg.regionBytes / cfg.l2Assoc);
+        // stats, LRU clock, busy-until, RNG state, set count and assoc.
+        header = sizeof(DirStats) + 8 + 8 + 32 + 4 + 4;
+        // Then every entry, and empty transaction/queue/Bloom trailers.
+        EXPECT_EQ(bytes.size(), header + std::size_t(setsPerTile) *
+                                    cfg.l2Assoc * sizeof(Entry) + 9);
+    }
+
+    using Entry = DirController::L2Entry;
+
+    /** A valid, filled entry for @p region. */
+    Entry
+    entry(Addr region) const
+    {
+        Entry e;
+        e.valid = true;
+        e.region = region;
+        e.lruStamp = 1;
+        e.wordCount = cfg.regionWords();
+        return e;
+    }
+
+    /** Tile 0's region @p n of L2 set @p set (Modulo slice hash). */
+    Addr
+    region(unsigned set, unsigned n = 0) const
+    {
+        const Addr idx = (Addr(n) * setsPerTile + set) * cfg.l2Tiles;
+        return idx * cfg.regionBytes;
+    }
+
+    void
+    put(unsigned set, unsigned way, const Entry &e)
+    {
+        std::memcpy(&bytes[header + (std::size_t(set) * cfg.l2Assoc + way) *
+                                        sizeof(Entry)],
+                    &e, sizeof(Entry));
+    }
+
+    /** Restore into tile 0 of a fresh System. */
+    bool
+    restores(std::size_t *materialized = nullptr) const
+    {
+        System fresh(cfg, bench(cfg));
+        Deserializer d(bytes.data(), bytes.size());
+        const bool ok = fresh.dir(0).restoreState(d);
+        if (materialized)
+            *materialized = fresh.dir(0).materializedSets();
+        return ok;
+    }
+
+    SystemConfig cfg;
+    System sys;
+    std::vector<std::uint8_t> bytes;
+    unsigned setsPerTile = 0;
+    std::size_t header = 0;
+};
+
+TEST(SnapshotReject, L2WellFormedEntryIsAccepted)
+{
+    DirImage img{SystemConfig{}};
+    std::size_t sets = 0;
+    EXPECT_TRUE(img.restores(&sets));
+    EXPECT_EQ(sets, 0u);
+    img.put(5, 2, img.entry(img.region(5)));
+    img.put(5, 3, img.entry(img.region(5, 1)));
+    EXPECT_TRUE(img.restores(&sets));
+    EXPECT_EQ(sets, 1u);
+}
+
+TEST(SnapshotReject, L2BadWordCount)
+{
+    for (unsigned count : {1u, SystemConfig{}.regionWords() + 1, 1000u}) {
+        DirImage img{SystemConfig{}};
+        DirImage::Entry e = img.entry(img.region(5));
+        e.wordCount = count;
+        img.put(5, 0, e);
+        EXPECT_FALSE(img.restores()) << count;
+    }
+    // A stale (invalid) entry is checked too.
+    DirImage img{SystemConfig{}};
+    DirImage::Entry e;
+    e.wordCount = 3;
+    img.put(7, 1, e);
+    EXPECT_FALSE(img.restores());
+}
+
+TEST(SnapshotReject, L2EntryOfAnotherTile)
+{
+    DirImage img{SystemConfig{}};
+    img.put(5, 0, img.entry(img.region(5) + img.cfg.regionBytes));
+    EXPECT_FALSE(img.restores());
+}
+
+TEST(SnapshotReject, L2EntryInWrongSet)
+{
+    DirImage img{SystemConfig{}};
+    img.put(5, 0, img.entry(img.region(6)));
+    EXPECT_FALSE(img.restores());
+}
+
+TEST(SnapshotReject, L2MisalignedRegion)
+{
+    DirImage img{SystemConfig{}};
+    img.put(5, 0, img.entry(img.region(5) + 8));
+    EXPECT_FALSE(img.restores());
+}
+
+TEST(SnapshotReject, L2DuplicateRegionInSet)
+{
+    DirImage img{SystemConfig{}};
+    img.put(5, 1, img.entry(img.region(5)));
+    img.put(5, 6, img.entry(img.region(5)));
+    EXPECT_FALSE(img.restores());
+}
+
+TEST(Snapshot, PartlyTouchedTileRoundTripsByteForByte)
+{
+    SystemConfig cfg;
+    cfg.protocol = ProtocolKind::ProtozoaMW;
+    cfg.seed = 19;
+    System donor(cfg, bench(cfg));
+    donor.runTo(20000);
+    System fresh(cfg, bench(cfg));
+    for (TileId t = 0; t < cfg.l2Tiles; ++t) {
+        DirController &src = donor.dir(t);
+        ASSERT_GT(src.materializedSets(), 0u);
+        Serializer first;
+        src.saveState(first);
+
+        DirController &dst = fresh.dir(t);
+        Deserializer d(first.bytes().data(), first.size());
+        ASSERT_TRUE(dst.restoreState(d)) << "tile " << t;
+        EXPECT_TRUE(d.atEnd());
+        EXPECT_EQ(dst.materializedSets(), src.materializedSets());
+        Serializer second;
+        dst.saveState(second);
+        EXPECT_EQ(first.bytes(), second.bytes()) << "tile " << t;
+    }
 }
 
 TEST(Snapshot, ConfigFingerprintSemantics)
