@@ -4,12 +4,24 @@
  *
  * Events are (cycle, sequence, callback) triples; ties at the same
  * cycle execute in scheduling order, which keeps the simulation
- * deterministic. Two pieces make the hot path allocation-free:
+ * deterministic. Three pieces make the hot path cheap and
+ * allocation-free:
  *
- *  - EventCallback, a move-only callable with a large inline buffer.
+ *  - EventCallback, a type-erased callable with a large inline buffer.
  *    Every callback the simulator schedules (mesh deliveries carrying a
  *    CoherenceMsg, core steps, controller pipeline stages) fits inline;
  *    oversized captures fall back to the heap transparently.
+ *
+ *  - A stable-address node pool. Nodes live in fixed-size chunks
+ *    addressed by a 32-bit index and threaded by a free list, so a
+ *    node never moves once allocated. schedule() builds the callable
+ *    directly in its node, dispatch() runs it there and then reset()s
+ *    it: one construction per event and no relocation. A callback that
+ *    schedules events, and so grows the pool, cannot invalidate
+ *    itself. A growable vector of nodes would move every node on
+ *    growth, forcing a move-out before each run; a std::deque puts
+ *    about one ~300-byte node per block, i.e. one allocation per node.
+ *    The pool allocates only when queue depth reaches a new high.
  *
  *  - A two-level calendar scheduler. Near-future events — almost all of
  *    them: cache latencies, mesh hops, directory occupancy, the
@@ -17,8 +29,7 @@
  *    per-cycle FIFO buckets (O(1) schedule, O(1) amortized dispatch via
  *    an occupancy bitmap). Far-future events spill to a small binary
  *    heap of plain (cycle, seq, node) references and migrate into the
- *    ring when their cycle comes due. Event nodes live in a pooled
- *    free-list, so steady-state scheduling performs zero allocations.
+ *    ring when their cycle comes due.
  *
  * Ordering guarantee: events run in strictly ascending (cycle, seq)
  * order regardless of which level they were scheduled into. A spilled
@@ -35,6 +46,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -68,9 +80,9 @@ struct HasSaveEvent<T, std::void_t<decltype(std::declval<const T &>()
 };
 
 /**
- * Move-only type-erased void() callable with inline small-buffer
- * storage sized for the simulator's largest common capture (a mesh
- * delivery closure holding a whole CoherenceMsg).
+ * Move-constructible type-erased void() callable with inline
+ * small-buffer storage sized for the simulator's largest common capture
+ * (a mesh delivery closure holding a whole CoherenceMsg).
  */
 class EventCallback
 {
@@ -105,20 +117,6 @@ class EventCallback
         }
     }
 
-    EventCallback &
-    operator=(EventCallback &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            vt = o.vt;
-            if (vt) {
-                vt->relocate(buf, o.buf);
-                o.vt = nullptr;
-            }
-        }
-        return *this;
-    }
-
     EventCallback(const EventCallback &) = delete;
     EventCallback &operator=(const EventCallback &) = delete;
 
@@ -136,6 +134,22 @@ class EventCallback
 
     /** Serialize the stored callable (must be saveable()). */
     void save(Serializer &s) const { vt->save(buf, s); }
+
+    /**
+     * Destroy the stored callable and leave this empty. This, not an
+     * explicit destructor call, is how a pooled callback is ended
+     * before its storage is reused: the destructor's final store to
+     * `vt` is dead to the compiler, so a later destructor could run the
+     * stale vtable a second time.
+     */
+    void
+    reset()
+    {
+        if (vt) {
+            vt->destroy(buf);
+            vt = nullptr;
+        }
+    }
 
   private:
     struct VTable
@@ -200,15 +214,6 @@ class EventCallback
         false,
     };
 
-    void
-    reset()
-    {
-        if (vt) {
-            vt->destroy(buf);
-            vt = nullptr;
-        }
-    }
-
     alignas(std::max_align_t) unsigned char buf[kInlineBytes];
     const VTable *vt = nullptr;
 };
@@ -221,19 +226,21 @@ class EventQueue
     /** Current simulated time. */
     Cycle now() const { return curCycle; }
 
-    /** Schedule @p cb to run @p delay cycles from now. */
+    /** Schedule @p f to run @p delay cycles from now. */
+    template <typename F>
     void
-    schedule(Cycle delay, Callback cb)
+    schedule(Cycle delay, F &&f)
     {
-        insert(curCycle + delay, std::move(cb));
+        insert(curCycle + delay, std::forward<F>(f));
     }
 
-    /** Schedule @p cb at absolute cycle @p when (>= now). */
+    /** Schedule @p f at absolute cycle @p when (>= now). */
+    template <typename F>
     void
-    scheduleAt(Cycle when, Callback cb)
+    scheduleAt(Cycle when, F &&f)
     {
         PROTO_ASSERT(when >= curCycle, "scheduling into the past");
-        insert(when, std::move(cb));
+        insert(when, std::forward<F>(f));
     }
 
     bool empty() const { return pending == 0; }
@@ -316,7 +323,10 @@ class EventQueue
     void
     reserve(std::size_t events)
     {
-        pool.reserve(events);
+        const std::size_t want = (events + kChunkNodes - 1) / kChunkNodes;
+        chunks.reserve(want);
+        while (chunks.size() < want)
+            addChunk();
         spill.reserve(events);
     }
 
@@ -341,10 +351,12 @@ class EventQueue
     {
         for (unsigned b = 0; b < kNumBuckets; ++b)
             for (std::uint32_t n = bucketHead[b]; n != kNil;
-                 n = pool[n].next)
-                fn(pool[n].when, pool[n].seq, pool[n].cb);
+                 n = node(n).next) {
+                const Node &e = node(n);
+                fn(e.when, e.seq, e.cb);
+            }
         for (const SpillRef &r : spill)
-            fn(r.when, r.seq, pool[r.node].cb);
+            fn(r.when, r.seq, node(r.node).cb);
     }
 
     /**
@@ -360,27 +372,7 @@ class EventQueue
     restoreEvent(Cycle when, std::uint64_t seq, Callback cb)
     {
         PROTO_ASSERT(when >= curCycle, "restoring event into the past");
-        const std::uint32_t n = acquireNode();
-        Node &node = pool[n];
-        node.when = when;
-        node.seq = seq;
-        node.next = kNil;
-        node.cb = std::move(cb);
-
-        if (when - curCycle < kNumBuckets) {
-            const unsigned b = static_cast<unsigned>(when) & kBucketMask;
-            if (bucketHead[b] == kNil) {
-                bucketHead[b] = bucketTail[b] = n;
-                occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
-            } else {
-                pool[bucketTail[b]].next = n;
-                bucketTail[b] = n;
-            }
-        } else {
-            spill.push_back(SpillRef{when, seq, n});
-            std::push_heap(spill.begin(), spill.end(), std::greater<>());
-        }
-        ++pending;
+        link(when, seq, std::move(cb));
     }
 
     /** Set the clock (restore-only; queue must be empty). */
@@ -401,6 +393,10 @@ class EventQueue
      * property tests and the kernel micro-benchmark.
      */
     static constexpr unsigned kRingHorizon = 1u << 10;
+
+    /** Nodes per pool chunk; the pool grows one chunk at a time.
+     *  Exposed for the pool-growth lifetime tests. */
+    static constexpr unsigned kChunkNodes = 1u << 8;
 
   private:
     /** One bucket per cycle within the horizon (power of two). */
@@ -439,53 +435,70 @@ class EventQueue
 
         const unsigned b = static_cast<unsigned>(c) & kBucketMask;
         const std::uint32_t n = bucketHead[b];
-        bucketHead[b] = pool[n].next;
+        Node &e = node(n);
+        bucketHead[b] = e.next;
         if (bucketHead[b] == kNil) {
             bucketTail[b] = kNil;
             occupancy[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
         }
 
-        // Move the callback out before running it: the callback may
-        // schedule new events, which can grow the pool and invalidate
-        // references into it.
-        Callback cb = std::move(pool[n].cb);
-        releaseNode(n);
+        // Run the callback in its node: it is on no list while it runs,
+        // and pool growth from events it schedules never moves it.
         --pending;
         ++kstats.eventsExecuted;
         curCycle = c;
-        cb();
+        e.cb();
+        e.cb.reset();
+        e.next = freeHead;
+        freeHead = n;
     }
 
+    template <typename F>
     void
-    insert(Cycle when, Callback cb)
+    insert(Cycle when, F &&f)
+    {
+        if (link(when, nextSeq++, std::forward<F>(f)))
+            ++kstats.bucketScheduled;
+        else
+            ++kstats.heapScheduled;
+        ++kstats.eventsScheduled;
+        if (pending > kstats.maxQueueDepth)
+            kstats.maxQueueDepth = pending;
+    }
+
+    /**
+     * Build @p f in a free node and queue it as (when, seq): into
+     * when's ring bucket if within the horizon, else the spill heap.
+     * @return true when it went into the ring.
+     */
+    template <typename F>
+    bool
+    link(Cycle when, std::uint64_t seq, F &&f)
     {
         const std::uint32_t n = acquireNode();
-        Node &node = pool[n];
-        node.when = when;
-        node.seq = nextSeq++;
-        node.next = kNil;
-        node.cb = std::move(cb);
+        Node &e = node(n);
+        // A free node's callback is empty (never built, or reset() after
+        // its run), so building over it skips no destructor side effect.
+        ::new (static_cast<void *>(&e.cb)) Callback(std::forward<F>(f));
+        e.when = when;
+        e.seq = seq;
+        e.next = kNil;
 
+        ++pending;
         if (when - curCycle < kNumBuckets) {
             const unsigned b = static_cast<unsigned>(when) & kBucketMask;
             if (bucketHead[b] == kNil) {
                 bucketHead[b] = bucketTail[b] = n;
                 occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
             } else {
-                pool[bucketTail[b]].next = n;
+                node(bucketTail[b]).next = n;
                 bucketTail[b] = n;
             }
-            ++kstats.bucketScheduled;
-        } else {
-            spill.push_back(SpillRef{when, node.seq, n});
-            std::push_heap(spill.begin(), spill.end(), std::greater<>());
-            ++kstats.heapScheduled;
+            return true;
         }
-
-        ++pending;
-        ++kstats.eventsScheduled;
-        if (pending > kstats.maxQueueDepth)
-            kstats.maxQueueDepth = pending;
+        spill.push_back(SpillRef{when, seq, n});
+        std::push_heap(spill.begin(), spill.end(), std::greater<>());
+        return false;
     }
 
     /**
@@ -525,11 +538,11 @@ class EventQueue
             const std::uint32_t n = spill.front().node;
             std::pop_heap(spill.begin(), spill.end(), std::greater<>());
             spill.pop_back();
-            pool[n].next = kNil;
+            node(n).next = kNil;
             if (head == kNil)
                 head = n;
             else
-                pool[tail].next = n;
+                node(tail).next = n;
             tail = n;
         }
         if (head == kNil)
@@ -541,9 +554,21 @@ class EventQueue
             bucketTail[b] = tail;
             occupancy[b >> 6] |= std::uint64_t(1) << (b & 63);
         } else {
-            pool[tail].next = bucketHead[b];
+            node(tail).next = bucketHead[b];
             bucketHead[b] = head;
         }
+    }
+
+    Node &
+    node(std::uint32_t n)
+    {
+        return chunks[n / kChunkNodes][n % kChunkNodes];
+    }
+
+    const Node &
+    node(std::uint32_t n) const
+    {
+        return chunks[n / kChunkNodes][n % kChunkNodes];
     }
 
     std::uint32_t
@@ -551,22 +576,24 @@ class EventQueue
     {
         if (freeHead != kNil) {
             const std::uint32_t n = freeHead;
-            freeHead = pool[n].next;
+            freeHead = node(n).next;
             return n;
         }
-        pool.emplace_back();
-        return static_cast<std::uint32_t>(pool.size() - 1);
+        if (poolUsed == chunks.size() * kChunkNodes)
+            addChunk();
+        return poolUsed++;
     }
 
     void
-    releaseNode(std::uint32_t n)
+    addChunk()
     {
-        pool[n].cb = Callback();
-        pool[n].next = freeHead;
-        freeHead = n;
+        chunks.push_back(std::make_unique_for_overwrite<Node[]>(kChunkNodes));
     }
 
-    std::vector<Node> pool;
+    /** Chunk i holds nodes [i * kChunkNodes, (i + 1) * kChunkNodes). */
+    std::vector<std::unique_ptr<Node[]>> chunks;
+    /** Nodes ever handed out; freed ones below it are on freeHead. */
+    std::uint32_t poolUsed = 0;
     std::uint32_t freeHead = kNil;
     std::array<std::uint32_t, kNumBuckets> bucketHead = [] {
         std::array<std::uint32_t, kNumBuckets> a{};

@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, determinism,
- * the deadlock safety net, the small-buffer callback type, and
- * property tests pitting the calendar/bucket scheduler against a
- * naive reference queue across the ring/heap boundary.
+ * the deadlock safety net, the small-buffer callback type, callable
+ * lifetimes in the node pool, and property tests pitting the
+ * calendar/bucket scheduler against a naive reference queue across the
+ * ring/heap boundary.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -115,6 +118,258 @@ TEST(EventCallback, SmallCapturesStayInline)
     seen = 0;
     moved();
     EXPECT_EQ(seen, 7u);
+}
+
+/** Per-callable tallies, kept outside the callable it counts. */
+struct Tally
+{
+    int copies = 0;
+    int moves = 0;
+    /** Destructions of a live (not moved-from) instance. */
+    int destroyed = 0;
+    int runs = 0;
+    /** `destroyed` as seen from inside the run. */
+    int destroyedAtRun = -1;
+};
+
+/**
+ * Callable that reports every copy, move and destruction to its Tally.
+ * A moved-from instance goes dead, so `destroyed` counts each callable
+ * once however often it was relocated on the way.
+ */
+template <std::size_t PayloadBytes>
+struct Counted
+{
+    Tally *t;
+    bool live = true;
+    std::array<unsigned char, PayloadBytes> payload{};
+
+    explicit Counted(Tally *tally) : t(tally) {}
+
+    Counted(const Counted &o) : t(o.t), live(o.live), payload(o.payload)
+    {
+        ++t->copies;
+    }
+
+    Counted(Counted &&o) noexcept
+        : t(o.t), live(o.live), payload(o.payload)
+    {
+        o.live = false;
+        ++t->moves;
+    }
+
+    Counted &operator=(const Counted &) = delete;
+
+    ~Counted()
+    {
+        if (live)
+            ++t->destroyed;
+    }
+
+    void
+    operator()()
+    {
+        ++t->runs;
+        t->destroyedAtRun = t->destroyed;
+    }
+};
+
+using SmallCounted = Counted<16>;
+/** Over the inline budget, so EventCallback heap-boxes it. */
+using BoxedCounted = Counted<300>;
+static_assert(sizeof(BoxedCounted) > EventCallback::kInlineBytes);
+
+/** Delays covering the ring, its wraparound and the spill heap. */
+Cycle
+lifetimeDelay(unsigned i)
+{
+    return (i * 2654435761u) % (3 * EventQueue::kRingHorizon);
+}
+
+TEST(EventQueueLifetime, ScheduleBuildsTheCallableOnce)
+{
+    EventQueue eq;
+    Tally rv, lv;
+    eq.schedule(1, SmallCounted(&rv));
+    EXPECT_LE(rv.copies + rv.moves, 1);
+
+    SmallCounted named(&lv);
+    eq.schedule(2, named);
+    EXPECT_EQ(lv.copies, 1);
+    EXPECT_EQ(lv.moves, 0);
+    eq.run();
+}
+
+template <typename C>
+void
+expectRunInPlaceThenDestroyedOnce()
+{
+    constexpr unsigned kEvents = 600;
+    std::vector<Tally> tallies(kEvents);
+    std::vector<int> builds(kEvents);
+    {
+        EventQueue eq;
+        for (unsigned i = 0; i < kEvents; ++i) {
+            eq.schedule(lifetimeDelay(i), C(&tallies[i]));
+            builds[i] = tallies[i].copies + tallies[i].moves;
+        }
+        ASSERT_GT(eq.kernelStats().heapScheduled, 0u);
+        eq.run();
+        for (unsigned i = 0; i < kEvents; ++i) {
+            const Tally &t = tallies[i];
+            EXPECT_EQ(t.copies + t.moves, builds[i]) << "event " << i;
+            EXPECT_EQ(t.runs, 1) << "event " << i;
+            EXPECT_EQ(t.destroyedAtRun, 0) << "event " << i;
+            EXPECT_EQ(t.destroyed, 1) << "event " << i;
+        }
+    }
+    for (unsigned i = 0; i < kEvents; ++i)
+        EXPECT_EQ(tallies[i].destroyed, 1) << "event " << i;
+}
+
+TEST(EventQueueLifetime, DispatchRunsInPlaceThenDestroysOnce)
+{
+    expectRunInPlaceThenDestroyedOnce<SmallCounted>();
+}
+
+TEST(EventQueueLifetime, HeapBoxedCallableIsFreedOnce)
+{
+    expectRunInPlaceThenDestroyedOnce<BoxedCounted>();
+
+    Tally ran, pending;
+    {
+        EventQueue eq;
+        eq.schedule(1, BoxedCounted(&ran));
+        eq.schedule(5 * EventQueue::kRingHorizon, BoxedCounted(&pending));
+        EXPECT_TRUE(eq.step());
+        EXPECT_EQ(ran.destroyed, 1);
+        EXPECT_EQ(pending.destroyed, 0);
+    }
+    EXPECT_EQ(ran.destroyed, 1);
+    EXPECT_EQ(pending.runs, 0);
+    EXPECT_EQ(pending.destroyed, 1);
+}
+
+TEST(EventQueueLifetime, PendingCallablesAreDestroyedOnceWithTheQueue)
+{
+    constexpr unsigned kFirst = 700, kRun = 250, kSecond = 250;
+    std::vector<Tally> tallies(kFirst + kSecond);
+    {
+        EventQueue eq;
+        for (unsigned i = 0; i < kFirst; ++i)
+            eq.schedule(lifetimeDelay(i), SmallCounted(&tallies[i]));
+        // Run some, so reused nodes sit among never-run ones.
+        for (unsigned i = 0; i < kRun; ++i)
+            ASSERT_TRUE(eq.step());
+        for (unsigned i = kFirst; i < kFirst + kSecond; ++i)
+            eq.schedule(lifetimeDelay(i), SmallCounted(&tallies[i]));
+        ASSERT_EQ(eq.size(), kFirst + kSecond - kRun);
+    }
+    int runs = 0;
+    for (unsigned i = 0; i < tallies.size(); ++i) {
+        runs += tallies[i].runs;
+        EXPECT_EQ(tallies[i].destroyed, 1) << "event " << i;
+    }
+    EXPECT_EQ(runs, static_cast<int>(kRun));
+}
+
+/**
+ * A callback that grows the pool by more than three chunks while it
+ * runs, then checks its own captured bytes: it runs in its node, so a
+ * pool that moved nodes would leave it reading freed memory.
+ */
+struct PoolGrower
+{
+    EventQueue *q;
+    bool *intact;
+    std::array<unsigned char, 200> payload;
+
+    void
+    operator()()
+    {
+        for (unsigned i = 0; i < 3 * EventQueue::kChunkNodes + 1; ++i)
+            q->schedule(1 + i % 7, [] {});
+        bool ok = true;
+        for (std::size_t i = 0; i < payload.size(); ++i)
+            ok = ok && payload[i] == static_cast<unsigned char>(i * 7 + 1);
+        *intact = ok;
+    }
+};
+
+TEST(EventQueueLifetime, RunningCallbackSurvivesPoolGrowth)
+{
+    EventQueue eq;
+    bool intact = false;
+    PoolGrower g{&eq, &intact, {}};
+    for (std::size_t i = 0; i < g.payload.size(); ++i)
+        g.payload[i] = static_cast<unsigned char>(i * 7 + 1);
+    eq.schedule(1, std::move(g));
+    ASSERT_TRUE(eq.step());
+    EXPECT_TRUE(intact);
+    EXPECT_EQ(eq.size(), 3 * EventQueue::kChunkNodes + 1);
+    eq.run();
+}
+
+/**
+ * Event that logs its seq and, for every third seq, schedules a child:
+ * a restored queue must replay the original's order and seq numbers.
+ */
+struct SeqLogger
+{
+    EventQueue *q;
+    std::vector<std::uint64_t> *log;
+    std::uint64_t seq;
+
+    void
+    operator()()
+    {
+        log->push_back(seq);
+        if (seq % 3 == 0) {
+            const std::uint64_t child = q->nextSeqValue();
+            q->schedule(lifetimeDelay(static_cast<unsigned>(seq)),
+                        SeqLogger{q, log, child});
+        }
+    }
+};
+
+TEST(EventQueueLifetime, RestoreEventRebuildsWhenSeqOrder)
+{
+    EventQueue orig;
+    std::vector<std::uint64_t> origLog;
+    for (unsigned i = 0; i < 400; ++i) {
+        const std::uint64_t seq = orig.nextSeqValue();
+        orig.schedule(lifetimeDelay(i + 1), SeqLogger{&orig, &origLog, seq});
+    }
+    for (unsigned i = 0; i < 150; ++i)
+        ASSERT_TRUE(orig.step());
+
+    std::vector<std::pair<Cycle, std::uint64_t>> pending;
+    orig.forEachPending([&](Cycle when, std::uint64_t seq,
+                            const EventCallback &) {
+        pending.emplace_back(when, seq);
+    });
+    std::sort(pending.begin(), pending.end());
+
+    EventQueue copy;
+    std::vector<std::uint64_t> copyLog;
+    copy.setClock(orig.now());
+    for (const auto &[when, seq] : pending)
+        copy.restoreEvent(when, seq, SeqLogger{&copy, &copyLog, seq});
+    copy.setNextSeq(orig.nextSeqValue());
+    copy.setKernelStats(orig.kernelStats());
+    ASSERT_EQ(copy.size(), orig.size());
+
+    origLog.clear();
+    orig.run();
+    copy.run();
+    EXPECT_EQ(copyLog, origLog);
+    EXPECT_EQ(copy.now(), orig.now());
+    const KernelStats &a = orig.kernelStats(), &b = copy.kernelStats();
+    EXPECT_EQ(b.eventsScheduled, a.eventsScheduled);
+    EXPECT_EQ(b.eventsExecuted, a.eventsExecuted);
+    EXPECT_EQ(b.bucketScheduled, a.bucketScheduled);
+    EXPECT_EQ(b.heapScheduled, a.heapScheduled);
+    EXPECT_EQ(b.maxQueueDepth, a.maxQueueDepth);
 }
 
 TEST(EventQueueBoundary, SpillThenRingAtTheSameCycleRunsInSeqOrder)
