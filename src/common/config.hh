@@ -28,15 +28,6 @@ enum class ProtocolKind
 
 const char *protocolName(ProtocolKind kind);
 
-/**
- * Parallel-engine thread count from PROTOZOA_SIM_THREADS: positive
- * values select the sharded engine with that many workers, anything
- * else (including unset) returns @p fallback. Unlike PROTOZOA_JOBS
- * there is no hardware-concurrency default: a single simulation stays
- * on the sequential oracle kernel unless explicitly asked otherwise.
- */
-unsigned envSimThreads(unsigned fallback = 0);
-
 /** Sharer-tracking organization at the directory. */
 enum class DirectoryKind
 {
@@ -180,16 +171,9 @@ struct SystemConfig
      */
     Cycle watchdogCycles = 0;
 
-    /**
-     * Worker threads for the sharded parallel engine (one calendar
-     * queue per mesh tile, conservative link-latency lookahead).
-     * 0 = consult PROTOZOA_SIM_THREADS, and when that is unset too,
-     * run the sequential single-queue oracle kernel (the default and
-     * the bit-identical reference). 1 runs the sharded engine on the
-     * calling thread — same event order as any other thread count.
-     * Forced to sequential when the schedule oracle is enabled (the
-     * protocheck explorer needs one global queue to steer).
-     */
+    /** Kept only because perfbench/runner.cc sets it; must stay 0 (there
+     *  is no in-process parallel engine, validate() rejects anything
+     *  else). */
     unsigned simThreads = 0;
 
     /** Seed for workload generation and the random tester. */
@@ -287,15 +271,11 @@ struct SystemConfig
                   bloomBuckets);
         if (faultReorderProb < 0.0 || faultReorderProb > 1.0)
             fatal("faultReorderProb must be within [0,1]");
-    }
-
-    /**
-     * Effective parallel-engine thread count: the explicit simThreads
-     * knob, else PROTOZOA_SIM_THREADS, else 0 (sequential kernel).
-     */
-    unsigned resolvedSimThreads() const
-    {
-        return simThreads > 0 ? simThreads : envSimThreads(0);
+        if (simThreads != 0)
+            fatal("simThreads=%u: the sharded parallel engine was "
+                  "removed; every run uses the sequential kernel "
+                  "(parallelize sweeps with PROTOZOA_JOBS)",
+                  simThreads);
     }
 };
 

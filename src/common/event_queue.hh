@@ -268,9 +268,8 @@ class EventQueue
     /**
      * Run queued events with cycle strictly below @p limit, advancing
      * local time as they execute. Events scheduled at or past the limit
-     * stay queued; this is the shard-horizon primitive of the parallel
-     * engine: a shard free-runs inside its window and stops exactly at
-     * the conservative lookahead boundary.
+     * stay queued, so a bounded System::runTo() stops at a quiescent
+     * cycle that a snapshot can capture.
      * @return number of events executed.
      */
     std::uint64_t
@@ -310,24 +309,6 @@ class EventQueue
                       "(deadlock or livelock?)",
                       static_cast<unsigned long long>(curCycle));
         }
-    }
-
-    /**
-     * Pre-size the node pool and spill heap for @p events concurrent
-     * events, so reaching that depth never allocates mid-run. The
-     * sharded engine warms every shard queue this way: per-shard
-     * high-water marks are reached later than a global queue's (an
-     * idle shard's clock lags, so late traffic can first-touch pool
-     * and spill capacity deep into a run).
-     */
-    void
-    reserve(std::size_t events)
-    {
-        const std::size_t want = (events + kChunkNodes - 1) / kChunkNodes;
-        chunks.reserve(want);
-        while (chunks.size() < want)
-            addChunk();
-        spill.reserve(events);
     }
 
     /** Scheduler observability counters. */

@@ -114,8 +114,8 @@ mix64(std::uint64_t z)
  * not depend on how draws are interleaved across streams — only on
  * (seed, s, k). The mesh fault injector keys streams by (src,dst) pair
  * and counts messages per pair, so a fault schedule is a pure function
- * of the seed and each pair's traffic, identical under the sequential
- * kernel and any sharded/threaded engine.
+ * of the seed and each pair's traffic, whatever order the pairs send
+ * in.
  */
 inline std::uint64_t
 counterHash64(std::uint64_t seed, std::uint64_t stream,

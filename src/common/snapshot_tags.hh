@@ -38,8 +38,8 @@ enum class EventKind : std::uint8_t {
     L1Send = 4,        ///< L1 pipeline handing msg to router  {coreId, CoherenceMsg}
     DirSend = 5,       ///< directory pipeline ditto           {tileId, CoherenceMsg}
     DirFill = 6,       ///< memory fill completing at the dir  {tileId, region}
-    MeshDeliver = 7,   ///< in-flight mesh message (sequential){CoherenceMsg}
-    SysDeliver = 8,    ///< in-flight delivery (sharded path)  {CoherenceMsg}
+    MeshDeliver = 7,   ///< older delivery tag, read only      {CoherenceMsg}
+    SysDeliver = 8,    ///< in-flight mesh delivery            {CoherenceMsg}
     InvariantTick = 9, ///< periodic coherence sweep           {}
     WatchdogTick = 10, ///< deadlock watchdog scan             {}
     WindowTick = 11,   ///< windowed-stats epoch rollover      {}

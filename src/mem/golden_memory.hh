@@ -26,15 +26,10 @@
 #ifndef PROTOZOA_MEM_GOLDEN_MEMORY_HH
 #define PROTOZOA_MEM_GOLDEN_MEMORY_HH
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/serialize.hh"
-#include "common/spin_sync.hh"
 #include "common/types.hh"
 
 namespace protozoa {
@@ -46,21 +41,6 @@ class WordStore
     static constexpr unsigned kPageWords = kMaxRegionWords;
 
     WordStore() { reset(64); }
-
-    /**
-     * Switch into concurrent mode: accesses route to one of 64
-     * independently spin-locked sub-stores hashed by page base, so
-     * shard threads whose footprints meet on one page (a 128-byte page
-     * spans two 64-byte regions with different home tiles) serialize
-     * on a stripe instead of racing on the open-addressing table.
-     * Values and the deterministic initial image are unchanged. Call
-     * it before the first access (the sharded engine enables it at
-     * System construction); the sequential path keeps its zero-cost
-     * single-table layout when this is never called.
-     */
-    void enableConcurrent();
-
-    bool concurrent() const { return conc != nullptr; }
 
     /** Deterministic initial content of a word (before any store). */
     static std::uint64_t
@@ -76,8 +56,6 @@ class WordStore
     std::uint64_t
     read(Addr addr) const
     {
-        if (conc)
-            return concRead(addr);
         const Addr wa = wordAlign(addr);
         const Page *page = findPage(pageBase(wa));
         return page ? page->words[wordIndex(wa)] : initialValue(wa);
@@ -87,10 +65,6 @@ class WordStore
     void
     write(Addr addr, std::uint64_t value)
     {
-        if (conc) {
-            concWrite(addr, value);
-            return;
-        }
         const Addr wa = wordAlign(addr);
         Page &page = findOrCreatePage(pageBase(wa));
         const unsigned w = wordIndex(wa);
@@ -117,9 +91,9 @@ class WordStore
     void writeRange(Addr addr, const std::uint64_t *src, unsigned nwords);
 
     /** Words ever written (not merely residing on a touched page). */
-    std::size_t touchedWords() const;
+    std::size_t touchedWords() const { return written; }
 
-    void clear();
+    void clear() { reset(64); }
 
     /**
      * Visit every explicitly-written word as (addr, value), in
@@ -142,9 +116,9 @@ class WordStore
     }
 
     /**
-     * Restore into a fresh store (same concurrency mode). Replays the
-     * written set through write(), which reproduces page population,
-     * the written bitmaps, and touchedWords() exactly.
+     * Restore into a fresh store. Replays the written set through
+     * write(), which reproduces page population, the written bitmaps,
+     * and touchedWords() exactly.
      */
     bool
     restoreState(Deserializer &d)
@@ -265,85 +239,12 @@ class WordStore
     std::vector<std::uint8_t> used;
     std::size_t count = 0;
     std::size_t written = 0;
-
-    struct Concurrent;
-    std::unique_ptr<Concurrent> conc;
-
-    std::uint64_t concRead(Addr addr) const;
-    void concWrite(Addr addr, std::uint64_t value);
-    void concReadRange(Addr addr, std::uint64_t *dst,
-                       unsigned nwords) const;
-    void concWriteRange(Addr addr, const std::uint64_t *src,
-                        unsigned nwords);
 };
-
-/**
- * Concurrent-mode stripes: 64 plain WordStores, each behind its own
- * spinlock, selected by a hash of the page base. The sub-stores are
- * ordinary sequential-mode WordStores (their `conc` stays null), so
- * every table operation reuses the single-threaded code verbatim.
- */
-struct WordStore::Concurrent
-{
-    static constexpr unsigned kStripes = 64;
-
-    struct alignas(64) Stripe
-    {
-        mutable SpinLock lock;
-        WordStore store;
-    };
-
-    std::array<Stripe, kStripes> stripes;
-
-    static Stripe &
-    stripeFor(std::array<Stripe, kStripes> &s, Addr page_base)
-    {
-        return s[static_cast<std::size_t>(mix(page_base)) &
-                 (kStripes - 1)];
-    }
-};
-
-inline void
-WordStore::enableConcurrent()
-{
-    if (!conc)
-        conc = std::make_unique<Concurrent>();
-}
-
-inline std::size_t
-WordStore::touchedWords() const
-{
-    if (!conc)
-        return written;
-    std::size_t total = 0;
-    for (auto &s : conc->stripes) {
-        s.lock.lock();
-        total += s.store.written;
-        s.lock.unlock();
-    }
-    return total;
-}
-
-inline void
-WordStore::clear()
-{
-    reset(64);
-    if (conc)
-        conc = std::make_unique<Concurrent>();
-}
 
 template <typename F>
 void
 WordStore::forEachWritten(F &&fn) const
 {
-    if (conc) {
-        for (auto &s : conc->stripes) {
-            s.lock.lock();
-            s.store.forEachWritten(fn);
-            s.lock.unlock();
-        }
-        return;
-    }
     for (std::size_t i = 0; i < pages.size(); ++i) {
         if (!used[i])
             continue;
@@ -353,27 +254,6 @@ WordStore::forEachWritten(F &&fn) const
                 fn(page.base + w * kWordBytes, page.words[w]);
         }
     }
-}
-
-inline std::uint64_t
-WordStore::concRead(Addr addr) const
-{
-    const Addr wa = wordAlign(addr);
-    auto &s = Concurrent::stripeFor(conc->stripes, pageBase(wa));
-    s.lock.lock();
-    const std::uint64_t v = s.store.read(addr);
-    s.lock.unlock();
-    return v;
-}
-
-inline void
-WordStore::concWrite(Addr addr, std::uint64_t value)
-{
-    const Addr wa = wordAlign(addr);
-    auto &s = Concurrent::stripeFor(conc->stripes, pageBase(wa));
-    s.lock.lock();
-    s.store.write(addr, value);
-    s.lock.unlock();
 }
 
 /**
@@ -387,13 +267,6 @@ WordStore::concWrite(Addr addr, std::uint64_t value)
 class GoldenMemory
 {
   public:
-    /**
-     * Concurrent mode for the sharded engine: stripe the backing
-     * store and serialize the (cold) violation record. Commit/check
-     * remain wait-free apart from one uncontended stripe spinlock.
-     */
-    void enableConcurrent() { store.enableConcurrent(); }
-
     void
     commitStore(Addr addr, std::uint64_t value)
     {
@@ -407,12 +280,10 @@ class GoldenMemory
         const std::uint64_t expect = store.read(addr);
         if (expect == observed)
             return true;
-        violationLock.lock();
         ++violationCount;
         lastBadAddr = addr;
         lastExpect = expect;
         lastObserved = observed;
-        violationLock.unlock();
         return false;
     }
 
@@ -428,19 +299,19 @@ class GoldenMemory
     saveState(Serializer &s) const
     {
         store.saveState(s);
-        s.writeU64(violationCount.load(std::memory_order_relaxed));
+        s.writeU64(violationCount);
         s.writeU64(lastBadAddr);
         s.writeU64(lastExpect);
         s.writeU64(lastObserved);
     }
 
-    /** Restore into a fresh oracle (same concurrency mode). */
+    /** Restore into a fresh oracle. */
     bool
     restoreState(Deserializer &d)
     {
         if (!store.restoreState(d))
             return false;
-        violationCount.store(d.readU64(), std::memory_order_relaxed);
+        violationCount = d.readU64();
         lastBadAddr = d.readU64();
         lastExpect = d.readU64();
         lastObserved = d.readU64();
@@ -449,9 +320,7 @@ class GoldenMemory
 
   private:
     WordStore store;
-    /** Guards the violation record (touched only on failing loads). */
-    SpinLock violationLock;
-    std::atomic<std::uint64_t> violationCount{0};
+    std::uint64_t violationCount = 0;
     Addr lastBadAddr = 0;
     std::uint64_t lastExpect = 0;
     std::uint64_t lastObserved = 0;

@@ -20,9 +20,8 @@
  * channel (src,dst) is a pure hash of (seed, channel, k), never a pull
  * from a shared sequential stream, so the fault schedule each channel
  * sees depends only on the seed and that channel's traffic — not on how
- * sends interleave across channels, and not on which engine (sequential
- * or sharded parallel) is driving the mesh. Runs are deterministic for
- * a given seed.
+ * sends interleave across channels. Runs are deterministic for a given
+ * seed.
  */
 
 #ifndef PROTOZOA_NOC_MESH_HH
@@ -98,8 +97,7 @@ class Mesh
          EventQueue::Callback deliver)
     {
         PROTO_ASSERT(!oracleOn, "send() bypasses the schedule oracle");
-        const Cycle arrival =
-            routeMessage(src, dst, bytes, eventq.now(), stats);
+        const Cycle arrival = routeMessage(src, dst, bytes);
         eventq.scheduleAt(arrival, std::move(deliver));
         return arrival - eventq.now();
     }
@@ -146,32 +144,27 @@ class Mesh
     }
 
     /**
-     * Engine-neutral half of send(): account the message in @p slab,
-     * apply fault jitter and the per-pair FIFO clamp, and return the
-     * absolute delivery cycle for a message leaving @p src at @p now.
-     * The sharded engine calls this from shard threads — every mutable
-     * cell it touches (the pair's jitter counter and FIFO clamp, the
-     * caller-supplied stats slab) is indexed by (src,dst) and owned by
-     * src's shard, so concurrent sends from distinct sources never
-     * share state.
+     * Timing half of send(): account the message, apply fault jitter
+     * and the per-pair FIFO clamp, and return the absolute delivery
+     * cycle for a message leaving @p src now. The caller schedules the
+     * delivery itself (System::send builds a saveable event).
      */
     Cycle
-    routeMessage(unsigned src, unsigned dst, unsigned bytes, Cycle now,
-                 NetStats &slab)
+    routeMessage(unsigned src, unsigned dst, unsigned bytes)
     {
         const unsigned nodes = cols * rows;
         PROTO_ASSERT(src < nodes && dst < nodes,
                      "mesh node out of range: src=%u dst=%u nodes=%u",
                      src, dst, nodes);
-        PROTO_ASSERT(!oracleOn, "schedule oracle is sequential-only");
+        PROTO_ASSERT(!oracleOn, "routeMessage() bypasses the schedule oracle");
 
         const unsigned h = hops(src, dst);
         const unsigned flits = flitsFor(bytes);
 
-        slab.messages += 1;
-        slab.bytes += bytes;
-        slab.flits += flits;
-        slab.flitHops += static_cast<std::uint64_t>(flits) * h;
+        stats.messages += 1;
+        stats.bytes += bytes;
+        stats.flits += flits;
+        stats.flitHops += static_cast<std::uint64_t>(flits) * h;
 
         Cycle latency = 1 + hopLatency * h +
             flitSerialization * (flits > 0 ? flits - 1 : 0);
@@ -181,7 +174,7 @@ class Mesh
         if (faultInjection)
             latency += faultDelay(pair);
 
-        Cycle arrival = now + latency;
+        Cycle arrival = eventq.now() + latency;
 
         // Per-pair FIFO: never deliver before the previous message on
         // this (src,dst) channel. Applied after fault injection so the
@@ -194,34 +187,7 @@ class Mesh
         return arrival;
     }
 
-    /**
-     * Smallest possible delivery delay between two *distinct* tiles:
-     * one base cycle plus at least one hop. The sharded engine's
-     * conservative lookahead window — events inside a window cannot be
-     * affected by cross-shard messages sent in the same window —
-     * equals exactly this bound (jitter and the FIFO clamp only ever
-     * increase a delay).
-     */
-    Cycle minCrossTileLatency() const { return 1 + hopLatency; }
-
-    /**
-     * Smallest possible delivery delay from @p src to @p dst
-     * specifically: one base cycle plus the XY-routed hop count at
-     * hopLatency per hop (jitter, serialization and the FIFO clamp only
-     * ever increase a delay). The sharded engine's per-(src,dst)
-     * lookahead matrix is built from this — distant shard pairs earn a
-     * wider window than the flat minCrossTileLatency() bound.
-     */
-    Cycle
-    pairLatencyBound(unsigned src, unsigned dst) const
-    {
-        return 1 + hopLatency * hops(src, dst);
-    }
-
     const NetStats &netStats() const { return stats; }
-
-    /** The mesh-owned stats slab (sequential engine's routeMessage). */
-    NetStats &statsSlab() { return stats; }
 
     /** One tracked in-flight message (deadlock-watchdog diagnostics). */
     struct QueuedMsg
@@ -252,27 +218,23 @@ class Mesh
     bool trackingEnabled() const { return tracking; }
 
     /**
-     * Record one sent message (caller supplies the arrival cycle and
-     * its local notion of now). Tracked messages live in per-source
-     * deques so concurrent shards never share one; @p now prunes only
-     * the source's own deque.
+     * Record one sent message (caller supplies the arrival cycle).
+     * Tracked messages live in per-source deques, so the census below
+     * comes out source by source in send order.
      */
     void
-    noteQueued(QueuedMsg msg, Cycle now)
+    noteQueued(QueuedMsg msg)
     {
         if (!tracking)
             return;
         auto &q = inFlight[msg.src];
-        prune(q, now);
+        prune(q, eventq.now());
         q.push_back(msg);
     }
 
-    void noteQueued(QueuedMsg msg) { noteQueued(msg, eventq.now()); }
-
     /**
      * Visit every message still in flight (arrival >= @p now), source
-     * by source in send order. Not safe concurrently with senders —
-     * call it from the sequential engine or at a barrier.
+     * by source in send order.
      */
     template <typename F>
     void
@@ -531,7 +493,7 @@ class Mesh
 
     bool tracking = false;
     /** Per-source sent-but-undelivered messages, in send order
-     *  (tracking only; indexed by src so shards never share a deque). */
+     *  (tracking only). */
     std::vector<std::deque<QueuedMsg>> inFlight;
 
     bool oracleOn = false;

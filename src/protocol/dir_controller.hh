@@ -38,6 +38,7 @@
 
 #include "common/config.hh"
 #include "common/core_mask.hh"
+#include "common/page_allocator.hh"
 #include "common/event_queue.hh"
 #include "common/flat_table.hh"
 #include "common/rng.hh"
@@ -341,9 +342,10 @@ class DirController
      * L2 entries of the touched sets, l2Assoc apiece in order of first
      * fill. Capacity for every set is reserved (address space only) at
      * construction, so materializing a set never reallocates and entry
-     * pointers stay stable.
+     * pointers stay stable. The reservation is mapped from the OS, not
+     * the heap, so untouched capacity stays non-resident.
      */
-    std::vector<L2Entry> slab;
+    std::vector<L2Entry, PageAllocator<L2Entry>> slab;
     /** Per set: 1 + its block index in slab, or 0 while untouched. */
     std::vector<std::uint32_t> setBase;
 

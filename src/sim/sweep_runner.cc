@@ -21,12 +21,7 @@ envJobs(unsigned fallback)
     if (fallback > 0)
         return fallback;
     const unsigned hw = std::thread::hardware_concurrency();
-    // When PROTOZOA_SIM_THREADS turns on the sharded engine, every
-    // sweep job is itself a multi-threaded simulation; divide the
-    // default pool so jobs x engine-threads still fits the machine.
-    // An explicit PROTOZOA_JOBS (above) is always taken verbatim.
-    const unsigned per = std::max(1u, envSimThreads(0));
-    return std::max(1u, (hw > 0 ? hw : 1) / per);
+    return hw > 0 ? hw : 1;
 }
 
 void

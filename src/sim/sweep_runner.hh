@@ -39,9 +39,7 @@ struct SweepJob
 
 /**
  * Worker count for sweeps: PROTOZOA_JOBS when set and positive, else
- * @p fallback when nonzero, else the hardware thread count divided by
- * the active PROTOZOA_SIM_THREADS engine width (min 1), so sweeps of
- * multi-threaded simulations never oversubscribe by default.
+ * @p fallback when nonzero, else the hardware thread count (min 1).
  */
 unsigned envJobs(unsigned fallback = 0);
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Trace file I/O: serialize workloads to a portable text format and
- * load them back, so the simulator can consume externally captured
- * traces (e.g. from a Pin tool, as the paper's authors did) instead
- * of the built-in synthetic generators.
+ * Trace file I/O: load workloads from a portable text format, so the
+ * simulator can consume externally captured traces (e.g. from a Pin
+ * tool, as the paper's authors did) instead of the built-in synthetic
+ * generators. TraceWriter (workload/streaming_trace.hh) writes the
+ * format, record by record.
  *
  * Format: one record per line, `#` comments and blank lines ignored.
  *
@@ -37,23 +38,6 @@ Workload readTrace(std::istream &in, unsigned num_cores);
 
 /** Parse a workload from a trace file; fatal() on open failure. */
 Workload readTraceFile(const std::string &path, unsigned num_cores);
-
-/**
- * Serialize a workload to the text format. Consumes the workload
- * (trace sources are drained).
- *
- * @deprecated Drains its input as a side effect and requires the whole
- * workload materialized; new code should append records incrementally
- * through TraceWriter (workload/streaming_trace.hh), which this
- * function is now a thin draining wrapper around.
- */
-void writeTrace(std::ostream &out, Workload workload);
-
-/**
- * Serialize a workload to a file; fatal() on open failure.
- * @deprecated See writeTrace().
- */
-void writeTraceFile(const std::string &path, Workload workload);
 
 } // namespace protozoa
 

@@ -83,19 +83,13 @@ hotPoolWorkload(const SystemConfig &cfg, std::uint64_t accesses_per_core)
 }
 
 void
-expectNoSteadyStateAllocs(ProtocolKind protocol, unsigned simThreads = 0)
+expectNoSteadyStateAllocs(ProtocolKind protocol)
 {
-    // The sharded engine's tiny lookahead windows make barrier
-    // crossings dominate on this 16-core config, so the parallel
-    // variants use a shorter (still eviction/recall-saturated) run to
-    // keep the suite's wall time in check.
-    const std::uint64_t kAccessesPerCore =
-        simThreads > 0 ? 1500 : 6250;
+    const std::uint64_t kAccessesPerCore = 6250;
 
     // Run 1: learn the total cycle count for this (deterministic)
     // workload.
-    SystemConfig cfg = hostileCfg(protocol);
-    cfg.simThreads = simThreads;
+    const SystemConfig cfg = hostileCfg(protocol);
     Cycle total_cycles = 0;
     {
         System sys(cfg, hotPoolWorkload(cfg, kAccessesPerCore));
@@ -107,16 +101,10 @@ expectNoSteadyStateAllocs(ProtocolKind protocol, unsigned simThreads = 0)
 
     // Run 2: identical workload; snapshot the allocation counter at
     // 0.25*C and require that execution — fill-heavy warmup quarter
-    // included — never allocates again. Under the sharded engine the
-    // snapshot rides on shard 0's calendar (the global queue is idle);
-    // warmup additionally covers the inbox-channel vectors reaching
-    // their high-water capacity and the worker-thread spawn, all of
-    // which happen before the window opens.
+    // included — never allocates again.
     System sys(cfg, hotPoolWorkload(cfg, kAccessesPerCore));
     std::uint64_t at_window = 0;
-    EventQueue &snapq =
-        sys.parallelEngine() ? sys.shardQueue(0) : sys.eventQueue();
-    snapq.schedule(total_cycles / 4, [&at_window] {
+    sys.eventQueue().schedule(total_cycles / 4, [&at_window] {
         at_window = AllocHook::allocCount();
     });
     sys.run();
@@ -138,16 +126,6 @@ TEST(AllocRegression, MesiSteadyStateIsAllocationFree)
 TEST(AllocRegression, ProtozoaMWSteadyStateIsAllocationFree)
 {
     expectNoSteadyStateAllocs(ProtocolKind::ProtozoaMW);
-}
-
-TEST(AllocRegression, MesiParallelSteadyStateIsAllocationFree)
-{
-    expectNoSteadyStateAllocs(ProtocolKind::MESI, 2);
-}
-
-TEST(AllocRegression, ProtozoaMWParallelSteadyStateIsAllocationFree)
-{
-    expectNoSteadyStateAllocs(ProtocolKind::ProtozoaMW, 2);
 }
 
 /**

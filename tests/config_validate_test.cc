@@ -2,8 +2,8 @@
  * @file
  * SystemConfig validation and geometry-scaling tests: the wide-mesh
  * rejection paths (core counts past kMaxCores, degenerate meshes,
- * undersized L2 tiles), the watchdog horizon's mesh scaling, and the
- * region -> home-tile slice hashes.
+ * undersized L2 tiles, a non-zero simThreads), the watchdog horizon's
+ * mesh scaling, and the region -> home-tile slice hashes.
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +57,18 @@ TEST(ConfigValidateScaling, RejectsNonPowerOfTwoBloomBuckets)
     cfg.directory = DirectoryKind::TaglessBloom;
     cfg.bloomBuckets = 100;
     EXPECT_DEATH(cfg.validate(), "power of two");
+}
+
+TEST(ConfigValidateScaling, RejectsSimThreads)
+{
+    // There is no in-process parallel engine; asking for worker
+    // threads must fail loudly instead of silently running sequential.
+    SystemConfig cfg;
+    cfg.simThreads = 4;
+    EXPECT_DEATH(cfg.validate(), "sharded parallel engine was removed");
+
+    cfg.simThreads = 1;
+    EXPECT_DEATH(cfg.validate(), "simThreads=1");
 }
 
 TEST(ConfigValidateScaling, AcceptsWideMeshes)

@@ -6,7 +6,9 @@
  *
  * L2 sets take their entries on their first fill and L1 block slots
  * are constructed on first use, so construction only reserves address
- * space. The bound 16 x (numCores + l2Tiles) is machine-independent:
+ * space. The L2 reservation is mapped from the OS (PageAllocator), so
+ * it stays address space even when the heap would hand back pages an
+ * earlier System dirtied. The bound 16 x (numCores + l2Tiles) is machine-independent:
  * it holds for the paper's 16-core machine and the 64-core 8x8
  * fig_scaling machine alike, although the latter has 4x the tiles and
  * the same 32 MB of aggregate L2.
@@ -14,7 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <vector>
+
 #include "common/alloc_hook.hh"
+#include "common/page_allocator.hh"
 #include "protozoa/protozoa.hh"
 
 PROTOZOA_DEFINE_COUNTING_NEW
@@ -101,6 +110,38 @@ TEST(ConstructionCost, RunMaterializesOnlyMissedSets)
         }
         EXPECT_GT(slots, 0u);
     }
+}
+
+// The directory reserves its whole L2 slab up front through
+// PageAllocator. Touching the front of such a reservation must leave
+// the rest non-resident, and growth within the reservation must not
+// move it.
+TEST(ConstructionCost, PageAllocatorReservationStaysNonResident)
+{
+    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t bytes = std::size_t(64) << 20;
+    // A transparent huge page may back the touched front; nothing past
+    // the first 2 MB may become resident.
+    const std::size_t front = std::size_t(2) << 20;
+
+    std::vector<std::uint64_t, PageAllocator<std::uint64_t>> v;
+    v.reserve(bytes / sizeof(std::uint64_t));
+    v.resize(page / sizeof(std::uint64_t), 1);
+    std::uint64_t *base = v.data();
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(base) % page, 0u);
+
+    std::vector<unsigned char> resident(bytes / page);
+    ASSERT_EQ(mincore(base, bytes, resident.data()), 0);
+    EXPECT_TRUE(resident[0] & 1);
+    std::size_t beyond = 0;
+    for (std::size_t i = front / page; i < resident.size(); ++i)
+        beyond += resident[i] & 1;
+    EXPECT_EQ(beyond, 0u);
+
+    v.resize(2 * page / sizeof(std::uint64_t), 2);
+    EXPECT_EQ(v.data(), base);
+    EXPECT_EQ(v.front(), 1u);
+    EXPECT_EQ(v.back(), 2u);
 }
 
 } // namespace

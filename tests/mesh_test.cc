@@ -284,9 +284,8 @@ TEST(Mesh, JitterIsDeterministicPerSeed)
 // The injector draws from a counter-based hash of (seed, pair, seq),
 // so a pair's fault schedule depends only on how many messages that
 // pair has carried — not on how sends across different pairs happen to
-// interleave globally. This is what lets the sharded parallel engine
-// (where per-shard execution order is not a single global sequence)
-// reproduce exactly the fault schedules of a sequential run.
+// interleave globally, so a protocol change that reorders traffic on
+// one channel leaves every other channel's fault schedule untouched.
 TEST(Mesh, JitterScheduleIsOrderIndependentAcrossPairs)
 {
     // Two interleavings of the same per-pair send sequences: pairwise

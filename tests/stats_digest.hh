@@ -35,8 +35,7 @@ class Digest
 
 /**
  * Protocol-visible statistics: everything a workload's coherence
- * behavior determines, independent of which engine (sequential or
- * sharded) executed the run.
+ * behavior determines.
  */
 inline void
 addProtocolStats(Digest &d, const RunStats &s)
@@ -73,7 +72,7 @@ addProtocolStats(Digest &d, const RunStats &s)
 
 /**
  * Full digest: protocol stats plus the scheduler-kernel counters
- * (deterministic per engine; wallSeconds is excluded). The fold order
+ * (deterministic; wallSeconds is excluded). The fold order
  * is frozen — bitident_guard_test's committed golden digest depends
  * on it.
  */

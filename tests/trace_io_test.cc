@@ -10,6 +10,7 @@
 
 #include "common/rng.hh"
 #include "protozoa/protozoa.hh"
+#include "workload/streaming_trace.hh"
 #include "workload/trace_io.hh"
 
 namespace protozoa {
@@ -60,7 +61,16 @@ TEST(TraceIo, RoundTrip)
                      0x80);
 
     std::ostringstream out;
-    writeTrace(out, tb.build());
+    {
+        Workload wl = tb.build();
+        TraceWriter w(out, TraceWriter::Format::Text, cfg.numCores);
+        TraceRecord rec;
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            while (wl[c]->next(rec))
+                w.append(c, rec);
+        }
+        w.finish();
+    }
 
     std::istringstream in(out.str());
     Workload restored = readTrace(in, cfg.numCores);
@@ -149,7 +159,6 @@ TEST(TraceIo, RandomizedRoundTripProperty)
     const unsigned cores = 4;
     std::vector<std::vector<TraceRecord>> original(cores);
 
-    Workload wl;
     for (unsigned c = 0; c < cores; ++c) {
         const std::size_t n = 50 + rng.below(100);
         for (std::size_t i = 0; i < n; ++i) {
@@ -161,12 +170,15 @@ TEST(TraceIo, RandomizedRoundTripProperty)
                 0x10000));
             original[c].push_back(rec);
         }
-        wl.push_back(std::make_unique<VectorTrace>(
-            std::vector<TraceRecord>(original[c])));
     }
 
     std::ostringstream out;
-    writeTrace(out, std::move(wl));
+    TraceWriter w(out, TraceWriter::Format::Text, cores);
+    for (unsigned c = 0; c < cores; ++c) {
+        for (const TraceRecord &rec : original[c])
+            w.append(c, rec);
+    }
+    w.finish();
     std::istringstream in(out.str());
     Workload restored = readTrace(in, cores);
 
