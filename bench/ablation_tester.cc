@@ -31,8 +31,9 @@ main()
                      "misses", "invalidations", "recalls"});
 
     bool all_clean = true;
-    for (ProtocolKind kind : allProtocols()) {
-        std::fprintf(stderr, "  fuzzing %s...\n", shortName(kind));
+    for (ProtocolKind kind : kAllProtocols) {
+        std::fprintf(stderr, "  fuzzing %s...\n",
+                     protocolTraits(kind).label);
         RandomTester::Params p;
         p.protocol = kind;
         p.accessesPerCore = accesses;
@@ -43,7 +44,7 @@ main()
 
         all_clean &= result.valueViolations == 0 &&
             result.invariantViolations == 0;
-        table.addRow({shortName(kind),
+        table.addRow({protocolTraits(kind).label,
                       std::to_string(result.valueViolations),
                       std::to_string(result.invariantViolations),
                       std::to_string(result.stats.l1.misses),

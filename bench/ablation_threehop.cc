@@ -33,7 +33,8 @@ main()
             RunStats runs[2];
             for (int mode = 0; mode < 2; ++mode) {
                 std::fprintf(stderr, "  running %-18s %-5s %u-hop...\n",
-                             name, shortName(kind), mode ? 3 : 4);
+                             name, protocolTraits(kind).label,
+                             mode ? 3 : 4);
                 SystemConfig cfg;
                 cfg.protocol = kind;
                 cfg.threeHop = mode == 1;
@@ -44,7 +45,7 @@ main()
             const double t3 =
                 trafficBreakdown(runs[1]).total();
             table.addRow(
-                {name, shortName(kind),
+                {name, protocolTraits(kind).label,
                  std::to_string(runs[1].dir.threeHopDirect),
                  std::to_string(runs[0].cycles),
                  std::to_string(runs[1].cycles),

@@ -23,34 +23,11 @@
 namespace protozoa {
 namespace bench {
 
-/** The four protocols in the paper's bar order. */
-inline const std::vector<ProtocolKind> &
-allProtocols()
-{
-    static const std::vector<ProtocolKind> kinds = {
-        ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-        ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW};
-    return kinds;
-}
-
-/** Short column labels matching the paper's figures. */
-inline const char *
-shortName(ProtocolKind kind)
-{
-    switch (kind) {
-      case ProtocolKind::MESI:         return "MESI";
-      case ProtocolKind::ProtozoaSW:   return "SW";
-      case ProtocolKind::ProtozoaSWMR: return "SW+MR";
-      case ProtocolKind::ProtozoaMW:   return "MW";
-    }
-    return "?";
-}
-
-/** One benchmark's results across the four protocols. */
+/** One benchmark's results across every protocol. */
 struct ProtocolSweepRow
 {
     std::string bench;
-    RunStats stats[4];
+    RunStats stats[kProtocolTable.size()];
 
     const RunStats &
     operator[](ProtocolKind kind) const
@@ -60,21 +37,20 @@ struct ProtocolSweepRow
 };
 
 /**
- * Run every paper benchmark under the given protocols, fanned across
+ * Run every paper benchmark under every protocol, fanned across
  * PROTOZOA_JOBS worker threads (one System per job; results land in
  * deterministic row order). Progress and the kernel-health summary go
  * to stderr so stdout stays a clean table.
  */
 inline std::vector<ProtocolSweepRow>
-sweepAllBenchmarks(const std::vector<ProtocolKind> &protocols,
-                   double scale)
+sweepAllBenchmarks(double scale)
 {
     const auto &specs = paperBenchmarks();
 
     std::vector<SweepJob> jobs;
-    jobs.reserve(specs.size() * protocols.size());
+    jobs.reserve(specs.size() * kAllProtocols.size());
     for (const auto &spec : specs) {
-        for (ProtocolKind kind : protocols) {
+        for (ProtocolKind kind : kAllProtocols) {
             SweepJob job;
             job.bench = spec.name;
             job.cfg.protocol = kind;
@@ -89,7 +65,8 @@ sweepAllBenchmarks(const std::vector<ProtocolKind> &protocols,
     auto stats = runSweep(
         jobs, workers, [](std::size_t, const SweepJob &job) {
             std::fprintf(stderr, "  running %-18s %-8s...\n",
-                         job.bench.c_str(), shortName(job.cfg.protocol));
+                         job.bench.c_str(),
+                         protocolTraits(job.cfg.protocol).label);
         });
 
     std::vector<ProtocolSweepRow> rows;
@@ -99,7 +76,7 @@ sweepAllBenchmarks(const std::vector<ProtocolKind> &protocols,
     for (const auto &spec : specs) {
         ProtocolSweepRow row;
         row.bench = spec.name;
-        for (ProtocolKind kind : protocols) {
+        for (ProtocolKind kind : kAllProtocols) {
             kernel.merge(stats[j].kernel);
             row.stats[static_cast<unsigned>(kind)] = std::move(stats[j]);
             ++j;

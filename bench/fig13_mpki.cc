@@ -18,7 +18,7 @@ main()
     const double scale = envScale();
     std::printf("Fig. 13: miss rate in MPKI (scale=%.2f)\n\n", scale);
 
-    const auto rows = sweepAllBenchmarks(allProtocols(), scale);
+    const auto rows = sweepAllBenchmarks(scale);
 
     TextTable table({"app", "MESI", "SW", "SW+MR", "MW", "MW vs MESI"});
     std::vector<double> reduction_sw, reduction_mw, reduction_mr;

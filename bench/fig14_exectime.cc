@@ -21,7 +21,7 @@ main()
     std::printf("Fig. 14: execution time normalized to MESI "
                 "(scale=%.2f)\n\n", scale);
 
-    const auto rows = sweepAllBenchmarks(allProtocols(), scale);
+    const auto rows = sweepAllBenchmarks(scale);
 
     TextTable table({"app", "SW", "SW+MR", "MW", ">3%?"});
     std::vector<double> ratio_sw, ratio_mr, ratio_mw;

@@ -19,7 +19,7 @@ main()
     std::printf("Fig. 15: flit-hops (network dynamic energy proxy) "
                 "relative to MESI (scale=%.2f)\n\n", scale);
 
-    const auto rows = sweepAllBenchmarks(allProtocols(), scale);
+    const auto rows = sweepAllBenchmarks(scale);
 
     TextTable table({"app", "SW", "SW+MR", "MW"});
     std::vector<double> r_sw, r_mr, r_mw;

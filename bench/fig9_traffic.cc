@@ -21,7 +21,7 @@ main()
     std::printf("Fig. 9: L1 traffic breakdown, %% of MESI total "
                 "(scale=%.2f)\n\n", scale);
 
-    const auto rows = sweepAllBenchmarks(allProtocols(), scale);
+    const auto rows = sweepAllBenchmarks(scale);
 
     TextTable table({"app", "proto", "ctrl%", "unused%", "used%",
                      "total%"});
@@ -30,9 +30,9 @@ main()
     for (const auto &row : rows) {
         const double base =
             trafficBreakdown(row[ProtocolKind::MESI]).total();
-        for (ProtocolKind kind : allProtocols()) {
+        for (ProtocolKind kind : kAllProtocols) {
             const TrafficBreakdown tb = trafficBreakdown(row[kind]);
-            table.addRow({axisName(row.bench), shortName(kind),
+            table.addRow({axisName(row.bench), protocolTraits(kind).label,
                           TextTable::fmt(100 * tb.control / base, 1),
                           TextTable::fmt(100 * tb.unusedData / base, 1),
                           TextTable::fmt(100 * tb.usedData / base, 1),
@@ -44,8 +44,8 @@ main()
     table.print(std::cout);
 
     std::printf("\nGeomean total traffic vs MESI:");
-    for (ProtocolKind kind : allProtocols()) {
-        std::printf("  %s=%.0f%%", shortName(kind),
+    for (ProtocolKind kind : kAllProtocols) {
+        std::printf("  %s=%.0f%%", protocolTraits(kind).label,
                     100 * geomean(totals[static_cast<unsigned>(kind)]));
     }
     std::printf("\nPaper reference: SW 74%%, SW+MR 66%%, MW 63%% "

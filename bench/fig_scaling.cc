@@ -96,7 +96,7 @@ writeJson(const std::string &path, double scale,
             "    {\"bench\": \"%s\", \"cores\": %u, "
             "\"protocol\": \"%s\", \"cycles\": %llu, "
             "\"trafficBytes\": %llu, \"flitHops\": %llu}%s\n",
-            p.bench, p.cores, shortName(p.proto),
+            p.bench, p.cores, protocolTraits(p.proto).label,
             static_cast<unsigned long long>(p.stats.cycles),
             static_cast<unsigned long long>(p.stats.net.bytes),
             static_cast<unsigned long long>(p.stats.net.flitHops),
@@ -139,7 +139,7 @@ main(int argc, char **argv)
     std::vector<SweepJob> jobs;
     for (const char *bench : kBenches) {
         for (const MeshPoint &pt : kPoints) {
-            for (ProtocolKind kind : allProtocols()) {
+            for (ProtocolKind kind : kAllProtocols) {
                 SweepJob job;
                 job.bench = bench;
                 job.cfg = configFor(pt);
@@ -169,14 +169,14 @@ main(int argc, char **argv)
         runSweep(jobs, workers, [](std::size_t, const SweepJob &job) {
             std::fprintf(stderr, "  running %-18s %3u cores %-8s...\n",
                          job.bench.c_str(), job.cfg.numCores,
-                         shortName(job.cfg.protocol));
+                         protocolTraits(job.cfg.protocol).label);
         });
 
     std::vector<PointStat> points;
     std::size_t j = 0;
     for (const char *bench : kBenches) {
         for (const MeshPoint &pt : kPoints) {
-            for (ProtocolKind kind : allProtocols())
+            for (ProtocolKind kind : kAllProtocols)
                 points.push_back({bench, pt.cores, kind,
                                   std::move(stats[j++])});
         }
@@ -202,7 +202,7 @@ main(int argc, char **argv)
                     static_cast<double>(p.stats.net.bytes) /
                     static_cast<double>(mesi->stats.net.bytes);
                 table.addRow(
-                    {std::to_string(p.cores), shortName(p.proto),
+                    {std::to_string(p.cores), protocolTraits(p.proto).label,
                      std::to_string(p.stats.cycles),
                      TextTable::fmt(p.stats.net.bytes / 1.0e6),
                      TextTable::fmt(p.stats.net.flitHops / 1.0e6),

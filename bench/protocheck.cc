@@ -36,19 +36,6 @@ using namespace protozoa::check;
 
 namespace {
 
-struct ProtoOpt
-{
-    const char *flag;
-    ProtocolKind kind;
-};
-
-const ProtoOpt kProtocols[] = {
-    {"mesi", ProtocolKind::MESI},
-    {"sw", ProtocolKind::ProtozoaSW},
-    {"swmr", ProtocolKind::ProtozoaSWMR},
-    {"mw", ProtocolKind::ProtozoaMW},
-};
-
 void
 usage()
 {
@@ -188,14 +175,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<ProtocolKind> protocols;
-    for (const ProtoOpt &p : kProtocols) {
-        if (protocolArg == "all" || protocolArg == p.flag)
-            protocols.push_back(p.kind);
-    }
-    if (protocols.empty()) {
-        usage();
-        return 2;
+    std::vector<ProtocolKind> protocols(kAllProtocols.begin(),
+                                        kAllProtocols.end());
+    if (protocolArg != "all") {
+        const auto kind = parseProtocol(protocolArg);
+        if (!kind) {
+            usage();
+            return 2;
+        }
+        protocols = {*kind};
     }
 
     std::printf("%-24s %-6s %9s %9s %9s %9s %9s  %s\n", "scenario",

@@ -73,9 +73,7 @@ main()
     std::printf("%-16s %8s %8s %12s %10s %12s\n", "protocol", "MPKI",
                 "used%", "traffic-B", "flit-hops", "cycles");
 
-    for (auto kind :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto kind : kAllProtocols) {
         SystemConfig cfg;
         cfg.protocol = kind;
 

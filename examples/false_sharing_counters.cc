@@ -47,9 +47,7 @@ main()
                 "speedup");
 
     double mesi_cycles = 0;
-    for (auto kind :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto kind : kAllProtocols) {
         SystemConfig cfg;
         cfg.protocol = kind;
 

@@ -13,45 +13,28 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "protozoa/protozoa.hh"
 
 using namespace protozoa;
 
-namespace {
-
-ProtocolKind
-parseProtocol(const char *arg)
-{
-    if (std::strcmp(arg, "mesi") == 0)
-        return ProtocolKind::MESI;
-    if (std::strcmp(arg, "sw") == 0)
-        return ProtocolKind::ProtozoaSW;
-    if (std::strcmp(arg, "swmr") == 0)
-        return ProtocolKind::ProtozoaSWMR;
-    if (std::strcmp(arg, "mw") == 0)
-        return ProtocolKind::ProtozoaMW;
-    fatal("unknown protocol '%s' (use mesi|sw|swmr|mw)", arg);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "histogram";
-    const ProtocolKind protocol =
+    const auto protocol =
         argc > 2 ? parseProtocol(argv[2]) : ProtocolKind::ProtozoaMW;
+    if (!protocol)
+        fatal("unknown protocol '%s' (use mesi|sw|swmr|mw)", argv[2]);
     const double scale = argc > 3 ? std::atof(argv[3]) : envScale();
 
     SystemConfig cfg;
-    cfg.protocol = protocol;
+    cfg.protocol = *protocol;
 
     const BenchSpec &spec = findBenchmark(bench);
     std::printf("benchmark : %s (%s suite)\n", spec.name.c_str(),
                 spec.suite.c_str());
-    std::printf("protocol  : %s\n", protocolName(protocol));
+    std::printf("protocol  : %s\n", protocolName(*protocol));
     std::printf("machine   : %u cores, %u B regions, %u-set Amoeba "
                 "L1, %u-tile L2\n\n",
                 cfg.numCores, cfg.regionBytes, cfg.l1Sets, cfg.l2Tiles);

@@ -7,19 +7,6 @@ namespace protozoa::check {
 namespace {
 
 const char *
-protocolEnumName(ProtocolKind p)
-{
-    switch (p) {
-      case ProtocolKind::MESI: return "ProtocolKind::MESI";
-      case ProtocolKind::ProtozoaSW: return "ProtocolKind::ProtozoaSW";
-      case ProtocolKind::ProtozoaSWMR:
-        return "ProtocolKind::ProtozoaSWMR";
-      case ProtocolKind::ProtozoaMW: return "ProtocolKind::ProtozoaMW";
-    }
-    return "ProtocolKind::MESI";
-}
-
-const char *
 predictorEnumName(PredictorKind p)
 {
     switch (p) {
@@ -53,7 +40,7 @@ buildRepro(const Scenario &s, ProtocolKind proto, const Violation &v)
     os << "}).\n";
 
     os << "SystemConfig cfg;\n";
-    os << "cfg.protocol = " << protocolEnumName(proto) << ";\n";
+    os << "cfg.protocol = " << protocolTraits(proto).cppName << ";\n";
     os << "cfg.predictor = " << predictorEnumName(s.predictor) << ";\n";
     if (s.predictor == PredictorKind::Fixed)
         os << "cfg.fixedFetchWords = " << s.fixedFetchWords << ";\n";

@@ -8,8 +8,12 @@
 #define PROTOZOA_COMMON_CONFIG_HH
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/core_mask.hh"
 #include "common/log.hh"
@@ -26,7 +30,80 @@ enum class ProtocolKind
     ProtozoaMW,      ///< multiple non-overlapping writers (word-level SWMR)
 };
 
-const char *protocolName(ProtocolKind kind);
+/**
+ * Every per-protocol fact, one row per ProtocolKind (the paper's Table 3
+ * as data). One L1 and one directory implementation serve the family;
+ * they read these flags and never branch on the kind, so a new protocol
+ * is one row plus the transitions that are actually new.
+ */
+struct ProtocolTraits
+{
+    ProtocolKind kind;
+    const char *name;     ///< display name ("Protozoa-SW+MR")
+    const char *label;    ///< short figure label ("SW+MR")
+    const char *key;      ///< command-line key ("swmr")
+    const char *cppName;  ///< C++ spelling, for generated repro snippets
+    bool fullRegionFetch; ///< every miss fetches the whole region
+    /** Probes carry the request range and keep non-overlapping blocks
+     *  (keepNonOverlap); otherwise coherence permission is per region. */
+    bool wordGranularCoherence;
+    bool singleWriter;    ///< at most one writer per region
+
+    /** Kept non-overlapping owners are cleaned to S (SW+MR). */
+    constexpr bool
+    revokeWritePerm() const
+    {
+        return wordGranularCoherence && singleWriter;
+    }
+    /** Bit of this protocol in a conformance-inventory protocol mask. */
+    constexpr unsigned bit() const { return 1u << unsigned(kind); }
+};
+
+inline constexpr std::array<ProtocolTraits, 4> kProtocolTable = {{
+    {ProtocolKind::MESI, "MESI", "MESI", "mesi", "ProtocolKind::MESI",
+     true, false, true},
+    {ProtocolKind::ProtozoaSW, "Protozoa-SW", "SW", "sw",
+     "ProtocolKind::ProtozoaSW", false, false, true},
+    {ProtocolKind::ProtozoaSWMR, "Protozoa-SW+MR", "SW+MR", "swmr",
+     "ProtocolKind::ProtozoaSWMR", false, true, true},
+    {ProtocolKind::ProtozoaMW, "Protozoa-MW", "MW", "mw",
+     "ProtocolKind::ProtozoaMW", false, true, false},
+}};
+
+/** Every protocol, in table (and the paper's bar) order. */
+inline constexpr auto kAllProtocols = [] {
+    std::array<ProtocolKind, kProtocolTable.size()> kinds{};
+    for (std::size_t i = 0; i < kinds.size(); ++i)
+        kinds[i] = ProtocolKind(i);
+    return kinds;
+}();
+static_assert(std::ranges::equal(kProtocolTable, kAllProtocols, {},
+                                 &ProtocolTraits::kind),
+              "protocolTraits() indexes the table by kind");
+
+/** The row of @p kind; SystemConfig::validate() rejects kinds past it. */
+constexpr const ProtocolTraits &
+protocolTraits(ProtocolKind kind)
+{
+    return kProtocolTable[unsigned(kind)];
+}
+
+constexpr const char *
+protocolName(ProtocolKind kind)
+{
+    return protocolTraits(kind).name;
+}
+
+/** The protocol whose command-line key is @p key, if any. */
+constexpr std::optional<ProtocolKind>
+parseProtocol(std::string_view key)
+{
+    for (const ProtocolTraits &row : kProtocolTable) {
+        if (key == row.key)
+            return row.kind;
+    }
+    return std::nullopt;
+}
 
 /** Sharer-tracking organization at the directory. */
 enum class DirectoryKind
@@ -271,6 +348,12 @@ struct SystemConfig
                   bloomBuckets);
         if (faultReorderProb < 0.0 || faultReorderProb > 1.0)
             fatal("faultReorderProb must be within [0,1]");
+        if (unsigned(protocol) >= kProtocolTable.size())
+            fatal("protocol=%u is not a row of the protocol table",
+                  unsigned(protocol));
+        if (predictor == PredictorKind::Fixed && fixedFetchWords == 0)
+            fatal("fixedFetchWords=0: the Fixed predictor needs at "
+                  "least one word per fetch");
         if (simThreads != 0)
             fatal("simThreads=%u: the sharded parallel engine was "
                   "removed; every run uses the sequential kernel "

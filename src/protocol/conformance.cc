@@ -70,18 +70,6 @@ dirEventName(DirEvent e)
     return "?";
 }
 
-unsigned
-protocolBit(ProtocolKind kind)
-{
-    switch (kind) {
-      case ProtocolKind::MESI: return P_MESI;
-      case ProtocolKind::ProtozoaSW: return P_SW;
-      case ProtocolKind::ProtozoaSWMR: return P_SWMR;
-      case ProtocolKind::ProtozoaMW: return P_MW;
-    }
-    panic("unknown protocol kind");
-}
-
 const char *
 knobProfileName(KnobProfile p)
 {
@@ -341,7 +329,7 @@ ConformanceCoverage::ConformanceCoverage(ProtocolKind protocol,
                                          KnobProfile knob_profile)
     : proto(protocol), profile(knob_profile)
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     for (const auto &row : kL1Inventory) {
         if (row.protocols & bit)
             l1Doc[idx(row.from)][idx(row.ev)][idx(row.to)] = true;
@@ -396,7 +384,7 @@ ConformanceCoverage::merge(const ConformanceCoverage &other)
 unsigned
 ConformanceCoverage::documentedRows() const
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     unsigned n = 0;
     for (const auto &row : kL1Inventory)
         n += (row.protocols & bit) ? 1 : 0;
@@ -408,7 +396,7 @@ ConformanceCoverage::documentedRows() const
 unsigned
 ConformanceCoverage::hitRows() const
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     unsigned n = 0;
     for (const auto &row : kL1Inventory) {
         if ((row.protocols & bit) &&
@@ -426,7 +414,7 @@ ConformanceCoverage::hitRows() const
 unsigned
 ConformanceCoverage::hitRowsAt(KnobProfile p) const
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     unsigned n = 0;
     for (const auto &row : kL1Inventory) {
         if ((row.protocols & bit) &&
@@ -444,7 +432,7 @@ ConformanceCoverage::hitRowsAt(KnobProfile p) const
 unsigned
 ConformanceCoverage::unexplainedMisses() const
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     unsigned n = 0;
     for (const auto &row : kL1Inventory) {
         if ((row.protocols & bit) && row.note[0] == '\0' &&
@@ -462,7 +450,7 @@ ConformanceCoverage::unexplainedMisses() const
 std::string
 ConformanceCoverage::report(bool verbose) const
 {
-    const unsigned bit = protocolBit(proto);
+    const unsigned bit = protocolTraits(proto).bit();
     std::ostringstream os;
     os << "transition coverage [" << protocolName(proto) << "]: "
        << hitRows() << "/" << documentedRows() << " documented rows hit";

@@ -86,14 +86,31 @@ const char *dirStateName(DirState s);
 const char *dirEventName(DirEvent e);
 
 /** Protocol bitmask values for the documented-transition inventory. */
-constexpr unsigned P_MESI = 1, P_SW = 2, P_SWMR = 4, P_MW = 8;
-constexpr unsigned P_ALL = P_MESI | P_SW | P_SWMR | P_MW;
-/** Protocols with adaptive (request-range) coherence granularity. */
-constexpr unsigned P_ADAPT = P_SWMR | P_MW;
-/** Protocols where an L1 can hold several partial blocks of a region. */
-constexpr unsigned P_PARTIAL = P_SW | P_SWMR | P_MW;
+constexpr unsigned P_MESI = protocolTraits(ProtocolKind::MESI).bit();
+constexpr unsigned P_SW = protocolTraits(ProtocolKind::ProtozoaSW).bit();
+constexpr unsigned P_SWMR =
+    protocolTraits(ProtocolKind::ProtozoaSWMR).bit();
+constexpr unsigned P_MW = protocolTraits(ProtocolKind::ProtozoaMW).bit();
 
-unsigned protocolBit(ProtocolKind kind);
+/** Mask of the protocol-table rows that satisfy @p pred. */
+constexpr unsigned
+protocolMask(bool (*pred)(const ProtocolTraits &))
+{
+    unsigned mask = 0;
+    for (const ProtocolTraits &row : kProtocolTable) {
+        if (pred(row))
+            mask |= row.bit();
+    }
+    return mask;
+}
+
+constexpr unsigned P_ALL = (1u << kProtocolTable.size()) - 1;
+/** Protocols with adaptive (request-range) coherence granularity. */
+constexpr unsigned P_ADAPT = protocolMask(
+    [](const ProtocolTraits &r) { return r.wordGranularCoherence; });
+/** Protocols where an L1 can hold several partial blocks of a region. */
+constexpr unsigned P_PARTIAL = protocolMask(
+    [](const ProtocolTraits &r) { return !r.fullRegionFetch; });
 
 /**
  * Configuration-knob profile a transition was observed under. The same

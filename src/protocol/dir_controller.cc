@@ -22,8 +22,8 @@ DirController::DirController(TileId id, const SystemConfig &config,
                              EventQueue &eq, Router &rt,
                              WordStore &mem,
                              ConformanceCoverage *cov_tracker)
-    : cfg(config), tileId(id), eventq(eq), router(rt), memImage(mem),
-      coverage(cov_tracker),
+    : cfg(config), traits(protocolTraits(config.protocol)), eventq(eq),
+      router(rt), memImage(mem), coverage(cov_tracker), tileId(id),
       occRng(config.seed ^ 0x646972ULL ^ (std::uint64_t(id) << 40))
 {
     const std::uint64_t blocks = cfg.l2BytesPerTile / cfg.regionBytes;
@@ -465,12 +465,9 @@ DirController::probePhase(Addr region)
 
     recordOwnedCensus(*entry);
 
-    const bool adaptive_coherence =
-        cfg.protocol == ProtocolKind::ProtozoaSWMR ||
-        cfg.protocol == ProtocolKind::ProtozoaMW;
     const WordRange probe_range =
-        adaptive_coherence ? txn.reqRange
-                           : WordRange::full(cfg.regionWords());
+        traits.wordGranularCoherence ? txn.reqRange
+                                     : WordRange::full(cfg.regionWords());
 
     const Cycle when = occupy(cfg.l2Latency);
 
@@ -492,9 +489,8 @@ DirController::probePhase(Addr region)
             fwd.region = region;
             fwd.range = probe_range;
             fwd.requester = txn.requester;
-            fwd.keepNonOverlap = adaptive_coherence;
-            fwd.revokeWritePerm =
-                cfg.protocol == ProtocolKind::ProtozoaSWMR;
+            fwd.keepNonOverlap = traits.wordGranularCoherence;
+            fwd.revokeWritePerm = traits.revokeWritePerm();
             count_false(c);
             probes.push_back(std::move(fwd));
         });
@@ -507,7 +503,7 @@ DirController::probePhase(Addr region)
             inv.region = region;
             inv.range = probe_range;
             inv.requester = txn.requester;
-            inv.keepNonOverlap = adaptive_coherence;
+            inv.keepNonOverlap = traits.wordGranularCoherence;
             count_false(c);
             probes.push_back(std::move(inv));
         });
@@ -631,16 +627,14 @@ DirController::respond(Addr region)
         }
         setWriter(*entry, req);
         clearReader(*entry, req);
-        if (cfg.protocol != ProtocolKind::ProtozoaMW) {
-            PROTO_ASSERT(entry->writers.only(req),
-                         "single-writer protocol with multiple owners: "
-                         "region=%llx writers=%s readers=%s req=%u "
-                         "upgrade=%d range=%s",
-                         static_cast<unsigned long long>(region),
-                         entry->writers.toHex().c_str(),
-                         entry->readers.toHex().c_str(),
-                         req, txn.upgrade, txn.reqRange.toString().c_str());
-        }
+        PROTO_ASSERT(!traits.singleWriter || entry->writers.only(req),
+                     "single-writer protocol with multiple owners: "
+                     "region=%llx writers=%s readers=%s req=%u "
+                     "upgrade=%d range=%s",
+                     static_cast<unsigned long long>(region),
+                     entry->writers.toHex().c_str(),
+                     entry->readers.toHex().c_str(),
+                     req, txn.upgrade, txn.reqRange.toString().c_str());
     } else {
         const bool exclusive =
             entry->writers.none() && entry->readers.none();

@@ -16,7 +16,11 @@
  * variant decides only (a) the probe range (full region for MESI/SW,
  * the request range for SW+MR/MW), (b) the keepNonOverlap and
  * revokeWritePerm probe flags, and (c) how many concurrent writers the
- * writer set may hold.
+ * writer set may hold. All three come from the protocol's
+ * ProtocolTraits row (common/config.hh): (a) and keepNonOverlap from
+ * wordGranularCoherence, revokeWritePerm() derived from it and
+ * singleWriter, and (c) from singleWriter. No code here names a
+ * ProtocolKind.
  *
  * The legal (state, event) -> next-state tuples of this controller —
  * abstract states NP/I/R/W/WR/MW over the region's reader/writer sets,
@@ -331,13 +335,17 @@ class DirController
     CoreSet probeReaders(const L2Entry &entry) const;
 
     const SystemConfig &cfg;
-    TileId tileId;
+    /** cfg.protocol's row, cached so no request re-derives it. */
+    const ProtocolTraits &traits;
     EventQueue &eventq;
     Router &router;
     WordStore &memImage;
     ConformanceCoverage *coverage;
 
     unsigned setsPerTile;
+    /** Packed into setsPerTile's padding: sweeps build 16 of these per
+     *  System, and their malloc size class shows in peak RSS. */
+    TileId tileId;
     /**
      * L2 entries of the touched sets, l2Assoc apiece in order of first
      * fill. Capacity for every set is reserved (address space only) at

@@ -9,8 +9,11 @@
  *
  * Protocol-variant behaviour is *not* encoded here: the directory
  * expresses it entirely through the probe range and the
- * keepNonOverlap / revokeWritePerm flags, so one L1 implementation
- * serves MESI, Protozoa-SW, Protozoa-SW+MR and Protozoa-MW.
+ * keepNonOverlap / revokeWritePerm flags, which it takes from the
+ * protocol's ProtocolTraits row (common/config.hh), so one L1
+ * implementation serves MESI, Protozoa-SW, Protozoa-SW+MR and
+ * Protozoa-MW. The only L1-side protocol fact, MESI's whole-region
+ * fetches, is the row's fullRegionFetch pinning the predictor.
  *
  * The legal (state, event) -> next-state tuples of this controller —
  * stable I/S/E/M per block plus the IS/IM/SM/SM_B transients of the

@@ -59,9 +59,8 @@ struct KnobSetting
 struct CampaignSpec
 {
     /** Protocols to stress (default: the full family). */
-    std::vector<ProtocolKind> protocols{
-        ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-        ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW};
+    std::vector<ProtocolKind> protocols{kAllProtocols.begin(),
+                                        kAllProtocols.end()};
     /** Jitter profiles (default: standardJitterProfiles()). */
     std::vector<JitterProfile> profiles = standardJitterProfiles();
     /**

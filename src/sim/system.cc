@@ -12,11 +12,11 @@ namespace protozoa {
 System::System(const SystemConfig &config, Workload workload)
     : cfg(config), traces(std::move(workload))
 {
+    cfg.validate();
     // The MESI baseline is the degenerate fixed-granularity case:
     // whole-region fetches, whole-region coherence.
-    if (cfg.protocol == ProtocolKind::MESI)
+    if (protocolTraits(cfg.protocol).fullRegionFetch)
         cfg.predictor = PredictorKind::FullRegion;
-    cfg.validate();
     PROTO_ASSERT(traces.size() == cfg.numCores,
                  "workload must supply one trace per core");
 
@@ -491,11 +491,7 @@ System::invFindOrCreate(Addr region)
 std::optional<std::string>
 System::checkCoherenceInvariant()
 {
-    const bool region_granularity =
-        cfg.protocol == ProtocolKind::MESI ||
-        cfg.protocol == ProtocolKind::ProtozoaSW;
-    const bool single_writer =
-        cfg.protocol != ProtocolKind::ProtozoaMW;
+    const ProtocolTraits &row = protocolTraits(cfg.protocol);
 
     // One O(blocks) streaming pass: fold every resident block's word
     // mask into its region's accumulator. Blocks arrive core-major
@@ -540,18 +536,17 @@ System::checkCoherenceInvariant()
             continue;
         const WordMask multi = acc.multi | (acc.all & acc.cur);
         const bool violation =
-            (single_writer && acc.writers.count() > 1) ||
-            (region_granularity
-                 ? (acc.writers.any() && acc.distinctCores >= 2)
-                 : (acc.writerWords & multi) != 0);
+            (row.singleWriter && acc.writers.count() > 1) ||
+            (row.wordGranularCoherence
+                 ? (acc.writerWords & multi) != 0
+                 : (acc.writers.any() && acc.distinctCores >= 2));
         if (violation && (!found || acc.region < badRegion)) {
             found = true;
             badRegion = acc.region;
         }
     }
     if (found)
-        return reportViolation(badRegion, region_granularity,
-                               single_writer);
+        return reportViolation(badRegion, row);
     return std::nullopt;
 }
 
@@ -561,8 +556,7 @@ System::checkCoherenceInvariant()
  * scan, so the reported message is identical to the pre-mask checker.
  */
 std::optional<std::string>
-System::reportViolation(Addr region, bool region_granularity,
-                        bool single_writer)
+System::reportViolation(Addr region, const ProtocolTraits &row)
 {
     auto &holders = invScratch;
     holders.clear();
@@ -578,11 +572,11 @@ System::reportViolation(Addr region, bool region_granularity,
         if (h.state != BlockState::S)
             writers.set(h.core);
     }
-    if (single_writer && writers.count() > 1) {
+    if (row.singleWriter && writers.count() > 1) {
         std::ostringstream os;
         os << "region 0x" << std::hex << region << std::dec << ": "
            << writers.count() << " concurrent writers under "
-           << protocolName(cfg.protocol);
+           << row.name;
         return os.str();
     }
 
@@ -596,9 +590,8 @@ System::reportViolation(Addr region, bool region_granularity,
                                          b.state != BlockState::S;
             if (!writer_involved)
                 continue;
-            const bool conflict = region_granularity
-                ? true
-                : a.range.overlaps(b.range);
+            const bool conflict = !row.wordGranularCoherence ||
+                                  a.range.overlaps(b.range);
             if (conflict) {
                 std::ostringstream os;
                 os << "region 0x" << std::hex << region << std::dec
@@ -606,8 +599,7 @@ System::reportViolation(Addr region, bool region_granularity,
                    << blockStateName(a.state) << a.range.toString()
                    << " vs core " << b.core << " "
                    << blockStateName(b.state) << b.range.toString()
-                   << " violates SWMR under "
-                   << protocolName(cfg.protocol);
+                   << " violates SWMR under " << row.name;
                 return os.str();
             }
         }

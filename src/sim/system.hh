@@ -350,11 +350,11 @@ class System : public Router
     std::vector<InvHolder> invScratch;
 
     InvAcc &invFindOrCreate(Addr region);
-    /** Describe the violation in @p region under the SWMR flags that
-     *  checkCoherenceInvariant() computed. */
+    /** Describe the violation in @p region under protocol @p row:
+     *  names the two conflicting blocks, which the sweep's masks
+     *  cannot. */
     std::optional<std::string> reportViolation(Addr region,
-                                               bool region_granularity,
-                                               bool single_writer);
+                                               const ProtocolTraits &row);
 
     Cycle watchdogBound = 0;
     WatchdogHandler watchdogHandler;

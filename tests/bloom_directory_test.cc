@@ -141,9 +141,7 @@ TEST(BloomDirectorySystem, LargeFilterApproachesExact)
 
 TEST(BloomDirectorySystem, FuzzCleanUnderAllProtocols)
 {
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         RandomTester::Params p;
         p.protocol = protocol;
         p.accessesPerCore = 1200;

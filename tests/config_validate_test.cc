@@ -2,15 +2,22 @@
  * @file
  * SystemConfig validation and geometry-scaling tests: the wide-mesh
  * rejection paths (core counts past kMaxCores, degenerate meshes,
- * undersized L2 tiles, a non-zero simThreads), the watchdog horizon's
- * mesh scaling, and the region -> home-tile slice hashes.
+ * undersized L2 tiles, a non-zero simThreads), the protocol and
+ * predictor checks, the protocol table against docs/PROTOCOL.md, the
+ * watchdog horizon's mesh scaling, and the region -> home-tile slice
+ * hashes.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/config.hh"
+#include "protocol/conformance.hh"
 
 namespace protozoa {
 namespace {
@@ -69,6 +76,90 @@ TEST(ConfigValidateScaling, RejectsSimThreads)
 
     cfg.simThreads = 1;
     EXPECT_DEATH(cfg.validate(), "simThreads=1");
+}
+
+TEST(ConfigValidate, RejectsFixedPredictorWithZeroWords)
+{
+    // Zero fetch words would divide by zero on the first miss.
+    SystemConfig cfg;
+    cfg.predictor = PredictorKind::Fixed;
+    cfg.fixedFetchWords = 0;
+    EXPECT_DEATH(cfg.validate(), "fixedFetchWords=0");
+
+    cfg.fixedFetchWords = 1;
+    cfg.validate();
+}
+
+TEST(ConfigValidate, RejectsProtocolOutsideTheTable)
+{
+    SystemConfig cfg;
+    cfg.protocol = static_cast<ProtocolKind>(kProtocolTable.size());
+    EXPECT_DEATH(cfg.validate(), "not a row of the protocol table");
+}
+
+// The inventory masks the table derives are the ones the paper implies.
+static_assert(P_ADAPT == (P_SWMR | P_MW),
+              "P_ADAPT must be exactly the word-granular rows");
+static_assert(P_PARTIAL == (P_SW | P_SWMR | P_MW),
+              "P_PARTIAL must be exactly the rows without region fetches");
+
+/** Cells of the docs/PROTOCOL.md flag table, one vector per row. */
+std::vector<std::vector<std::string>>
+docFlagTable()
+{
+    std::ifstream in(std::string(PROTOZOA_SOURCE_DIR) +
+                     "/docs/PROTOCOL.md");
+    std::vector<std::vector<std::string>> rows;
+    bool inTable = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("| Protocol | key | label |", 0) == 0) {
+            inTable = true;
+            continue;
+        }
+        if (!inTable)
+            continue;
+        if (line.rfind("|", 0) != 0)
+            break;
+        if (line.rfind("|---", 0) == 0)
+            continue;
+        std::vector<std::string> cells;
+        std::istringstream ss(line.substr(1));
+        for (std::string cell; std::getline(ss, cell, '|');) {
+            const auto b = cell.find_first_not_of(" `");
+            const auto e = cell.find_last_not_of(" `");
+            cells.push_back(b == std::string::npos
+                                ? ""
+                                : cell.substr(b, e - b + 1));
+        }
+        rows.push_back(cells);
+    }
+    return rows;
+}
+
+TEST(ProtocolTable, MatchesTheDocFlagTableAndParsesEveryKey)
+{
+    const auto yesNo = [](bool b) { return std::string(b ? "yes" : "no"); };
+    const auto doc = docFlagTable();
+    ASSERT_EQ(doc.size(), kProtocolTable.size())
+        << "docs/PROTOCOL.md flag table has drifted from kProtocolTable";
+    for (std::size_t i = 0; i < kProtocolTable.size(); ++i) {
+        const ProtocolTraits &row = kProtocolTable[i];
+        const std::vector<std::string> want = {
+            row.name,
+            row.key,
+            row.label,
+            yesNo(row.fullRegionFetch),
+            yesNo(row.wordGranularCoherence),
+            yesNo(row.singleWriter),
+            yesNo(row.revokeWritePerm())};
+        EXPECT_EQ(doc[i], want) << "row " << row.name;
+
+        EXPECT_STREQ(protocolName(row.kind), row.name);
+        EXPECT_EQ(parseProtocol(row.key), row.kind);
+    }
+    EXPECT_EQ(parseProtocol("MESI"), std::nullopt);
+    EXPECT_EQ(parseProtocol("sw+mr"), std::nullopt);
+    EXPECT_EQ(parseProtocol(""), std::nullopt);
 }
 
 TEST(ConfigValidateScaling, AcceptsWideMeshes)

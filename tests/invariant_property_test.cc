@@ -64,9 +64,7 @@ std::vector<MatrixCase>
 matrix()
 {
     std::vector<MatrixCase> cases;
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         for (auto predictor :
              {PredictorKind::PcSpatial, PredictorKind::WordOnly}) {
             for (unsigned region : {32u, 64u, 128u}) {
@@ -157,9 +155,7 @@ INSTANTIATE_TEST_SUITE_P(
  *  substantial: 16 cores x 4k accesses x 4 protocols. */
 TEST(MillionAccessStyle, AllProtocolsSurviveLongFuzz)
 {
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         RandomTester::Params p;
         p.protocol = protocol;
         p.accessesPerCore = 4000;

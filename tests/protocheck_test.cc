@@ -95,9 +95,7 @@ TEST(Explorer, UpgradeRaceCleanUnderAllProtocols)
 {
     const Scenario *s = findScenario("upgrade-race");
     ASSERT_NE(s, nullptr);
-    for (ProtocolKind proto :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (ProtocolKind proto : kAllProtocols) {
         const ExploreResult r = explore(*s, proto);
         EXPECT_FALSE(r.violation.has_value())
             << protocolName(proto) << ": [" << r.violation->kind
@@ -135,9 +133,7 @@ TEST(Explorer, PorPreservesFingerprintsAndVerdicts)
     for (const Scenario &s : scenarioLibrary()) {
         if (s.deep && s.name != "mw-word-churn")
             continue; // deep full enumerations blow the unit-test budget
-        for (ProtocolKind proto :
-             {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-              ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+        for (ProtocolKind proto : kAllProtocols) {
             const ExploreResult a = explore(s, proto, on);
             const ExploreResult b = explore(s, proto, off);
             ASSERT_FALSE(a.budgetExhausted)
@@ -281,9 +277,7 @@ TEST(Explorer, RecallStormCompletesWithoutLivelock)
 {
     const Scenario *s = findScenario("recall-storm-3core");
     ASSERT_NE(s, nullptr);
-    for (ProtocolKind proto :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (ProtocolKind proto : kAllProtocols) {
         const ExploreResult r = explore(*s, proto);
         EXPECT_FALSE(r.violation.has_value())
             << protocolName(proto) << ": [" << r.violation->kind

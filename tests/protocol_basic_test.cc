@@ -102,9 +102,7 @@ TEST(ProtocolBasic, StoreUpgradeFromSharedInvalidatesOtherReader)
 
 TEST(ProtocolBasic, DirtyDataForwardedToReader)
 {
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         ProtocolDriver d(wordCfg(protocol));
         d.store(0, word(4), 1234);
         EXPECT_EQ(d.load(1, word(4)), 1234u) << protocolName(protocol);

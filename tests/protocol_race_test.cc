@@ -183,9 +183,7 @@ TEST(ProtocolRace, NonOverlappingProbeDoesNotDropRacingWriteback)
 // loser's upgrade is broken and retried as a full GETX.
 TEST(ProtocolRace, RacingUpgradesOnSameWord)
 {
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         ProtocolDriver d(wordCfg(protocol));
         const Addr a = 0x5000;
 

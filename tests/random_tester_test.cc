@@ -41,9 +41,7 @@ std::vector<TesterCase>
 sweepCases()
 {
     std::vector<TesterCase> cases;
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         for (std::uint64_t seed = 1; seed <= 5; ++seed)
             cases.push_back({protocol, seed});
     }

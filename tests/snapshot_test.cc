@@ -87,9 +87,7 @@ roundTrip(const SystemConfig &cfg, Cycle stop, const char *name = "apache")
 
 TEST(Snapshot, DigestLockedAcrossProtocols)
 {
-    for (ProtocolKind kind :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (ProtocolKind kind : kAllProtocols) {
         SystemConfig cfg;
         cfg.protocol = kind;
         cfg.seed = 11;

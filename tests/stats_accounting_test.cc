@@ -37,9 +37,7 @@ expectBalanced(const char *bench, ProtocolKind protocol, double scale)
 
 TEST(TrafficAccounting, L1BytesMatchMeshBytes)
 {
-    for (auto protocol :
-         {ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-          ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW}) {
+    for (auto protocol : kAllProtocols) {
         expectBalanced("histogram", protocol, 0.2);
         expectBalanced("canneal", protocol, 0.1);
         expectBalanced("x264", protocol, 0.2);

@@ -116,17 +116,11 @@ TEST_P(AllProtocols, ReadWriteSharingRunsClean)
 
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllProtocols,
-    ::testing::Values(ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-                      ProtocolKind::ProtozoaSWMR,
-                      ProtocolKind::ProtozoaMW),
+    ::testing::ValuesIn(kAllProtocols),
     [](const ::testing::TestParamInfo<ProtocolKind> &info) {
-        switch (info.param) {
-          case ProtocolKind::MESI:         return "MESI";
-          case ProtocolKind::ProtozoaSW:   return "SW";
-          case ProtocolKind::ProtozoaSWMR: return "SWMR";
-          case ProtocolKind::ProtozoaMW:   return "MW";
-        }
-        return "unknown";
+        // The figure label "SW+MR" is not a legal test name; the
+        // command-line key is.
+        return std::string(protocolTraits(info.param).key);
     });
 
 /** MW must eliminate the false-sharing ping-pong of Fig. 1. */

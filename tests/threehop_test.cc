@@ -143,9 +143,7 @@ TEST_P(ThreeHopFuzz, RandomConflictsStayCoherent)
 
 INSTANTIATE_TEST_SUITE_P(
     Protocols, ThreeHopFuzz,
-    ::testing::Values(ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-                      ProtocolKind::ProtozoaSWMR,
-                      ProtocolKind::ProtozoaMW),
+    ::testing::ValuesIn(kAllProtocols),
     [](const ::testing::TestParamInfo<ProtocolKind> &info) {
         std::string name = protocolName(info.param);
         for (auto &ch : name)

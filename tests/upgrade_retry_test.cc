@@ -15,10 +15,6 @@
 namespace protozoa {
 namespace {
 
-const ProtocolKind kAllProtocols[] = {
-    ProtocolKind::MESI, ProtocolKind::ProtozoaSW,
-    ProtocolKind::ProtozoaSWMR, ProtocolKind::ProtozoaMW};
-
 std::uint64_t
 brokenUpgrades(const ConformanceCoverage &cov)
 {
