@@ -39,13 +39,14 @@ namespace {
 void
 usage()
 {
-    std::puts(
+    std::printf(
         "usage: protocheck [--scenario <name>|all]\n"
         "                  [--tier fast|deep|large|all]\n"
-        "                  [--protocol mesi|sw|swmr|mw|all]\n"
+        "                  [--protocol %s|all]\n"
         "                  [--max-states N] [--no-por] [--no-memo]\n"
         "                  [--json FILE]\n"
-        "                  [--list] [-v]");
+        "                  [--list] [-v]\n",
+        protocolKeyList().c_str());
 }
 
 std::string

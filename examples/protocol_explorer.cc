@@ -25,7 +25,8 @@ main(int argc, char **argv)
     const auto protocol =
         argc > 2 ? parseProtocol(argv[2]) : ProtocolKind::ProtozoaMW;
     if (!protocol)
-        fatal("unknown protocol '%s' (use mesi|sw|swmr|mw)", argv[2]);
+        fatal("unknown protocol '%s' (use %s)", argv[2],
+              protocolKeyList().c_str());
     const double scale = argc > 3 ? std::atof(argv[3]) : envScale();
 
     SystemConfig cfg;

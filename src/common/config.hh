@@ -105,6 +105,19 @@ parseProtocol(std::string_view key)
     return std::nullopt;
 }
 
+/** Every protocol's command-line key, joined by '|' ("mesi|sw|..."). */
+inline std::string
+protocolKeyList()
+{
+    std::string keys;
+    for (const ProtocolTraits &row : kProtocolTable) {
+        if (!keys.empty())
+            keys += '|';
+        keys += row.key;
+    }
+    return keys;
+}
+
 /** Sharer-tracking organization at the directory. */
 enum class DirectoryKind
 {

@@ -5,8 +5,8 @@
  * release.
  *
  * It is for reserve-once buffers sized for a worst case that a run
- * mostly never touches, such as the directory's lazily materialized L2
- * slab. Such a reservation costs address space only if its pages are
+ * mostly never touches, such as the directory's L2 tags and entries.
+ * Such a reservation costs address space only if its pages are
  * fresh. glibc malloc does not promise that: once it has freed an
  * mmapped chunk it raises its mmap threshold to that chunk's size and
  * serves later requests of that size from the heap, so the next

@@ -7,14 +7,30 @@
 #include <utility>
 
 #include "common/log.hh"
+#include "common/page_allocator.hh"
 
 namespace protozoa {
 
 namespace {
 
-/** What an untouched L2 set holds; static storage zeroes the padding
+/** What a never-filled way holds; static storage zeroes the padding
  *  too, so it matches a value-initialized entry byte for byte. */
 const DirController::L2Entry kBlankEntry{};
+
+bool
+isBlank(const DirController::L2Entry &e)
+{
+    return std::memcmp(&e, &kBlankEntry, sizeof(e)) == 0;
+}
+
+/** Bytes of the L2 storage mapping of a tile with @p ways ways: tags,
+ *  entries, then entry ids. */
+std::size_t
+storageBytes(std::size_t ways)
+{
+    return ways * (sizeof(Addr) + sizeof(DirController::L2Entry) +
+                   sizeof(std::uint32_t));
+}
 
 } // namespace
 
@@ -24,13 +40,20 @@ DirController::DirController(TileId id, const SystemConfig &config,
                              ConformanceCoverage *cov_tracker)
     : cfg(config), traits(protocolTraits(config.protocol)), eventq(eq),
       router(rt), memImage(mem), coverage(cov_tracker), tileId(id),
+      regionShift(static_cast<std::uint8_t>(
+          std::countr_zero(config.regionBytes))),
       occRng(config.seed ^ 0x646972ULL ^ (std::uint64_t(id) << 40))
 {
     const std::uint64_t blocks = cfg.l2BytesPerTile / cfg.regionBytes;
     setsPerTile = static_cast<unsigned>(blocks / cfg.l2Assoc);
     PROTO_ASSERT(setsPerTile > 0, "L2 tile too small");
-    slab.reserve(std::size_t(setsPerTile) * cfg.l2Assoc);
-    setBase.resize(setsPerTile);
+    static_assert(alignof(L2Entry) <= alignof(Addr));
+    const std::size_t ways = std::size_t(setsPerTile) * cfg.l2Assoc;
+    tags = reinterpret_cast<Addr *>(
+        PageAllocator<std::byte>().allocate(storageBytes(ways)));
+    entries = reinterpret_cast<L2Entry *>(tags + ways);
+    entryIds = reinterpret_cast<std::uint32_t *>(entries + ways);
+    setBase = std::make_unique<std::uint32_t[]>(setsPerTile);
 
     if (cfg.directory == DirectoryKind::TaglessBloom) {
         bloomReaders = std::make_unique<CountingBloomSharers>(
@@ -38,6 +61,20 @@ DirController::DirController(TileId id, const SystemConfig &config,
         bloomWriters = std::make_unique<CountingBloomSharers>(
             cfg.bloomBuckets, cfg.bloomHashes, cfg.numCores);
     }
+}
+
+DirController::~DirController()
+{
+    PageAllocator<std::byte>().deallocate(
+        reinterpret_cast<std::byte *>(tags),
+        storageBytes(std::size_t(setsPerTile) * cfg.l2Assoc));
+}
+
+std::span<const std::byte>
+DirController::storageMapping() const
+{
+    return {reinterpret_cast<const std::byte *>(tags),
+            storageBytes(std::size_t(setsPerTile) * cfg.l2Assoc)};
 }
 
 void
@@ -147,43 +184,50 @@ DirController::sendMsg(CoherenceMsg msg, Cycle when)
 unsigned
 DirController::setIndexOf(Addr region) const
 {
-    const Addr region_index = region / cfg.regionBytes;
+    const Addr region_index = region >> regionShift;
     return static_cast<unsigned>((region_index / cfg.l2Tiles) %
                                  setsPerTile);
 }
 
-const DirController::L2Entry *
-DirController::entriesOf(unsigned s) const
-{
-    const std::uint32_t base = setBase[s];
-    return base ? &slab[std::size_t(base - 1) * cfg.l2Assoc] : nullptr;
-}
-
-DirController::L2Entry *
-DirController::entriesOf(unsigned s)
-{
-    return const_cast<L2Entry *>(std::as_const(*this).entriesOf(s));
-}
-
-DirController::L2Entry *
+std::size_t
 DirController::materialize(unsigned s)
 {
-    setBase[s] = static_cast<std::uint32_t>(materializedSets() + 1);
-    slab.resize(slab.size() + cfg.l2Assoc);
-    return entriesOf(s);
+    setBase[s] = ++tagBlocks;
+    const std::size_t first = firstWay(s);
+    std::fill_n(tags + first, cfg.l2Assoc, kNoRegion);
+    // Already zero; writing first makes a fresh page's first touch one
+    // fault rather than a zero-page read and a copy on write.
+    std::fill_n(entryIds + first, cfg.l2Assoc, 0);
+    return first;
+}
+
+DirController::L2Entry &
+DirController::entryForFill(std::size_t k)
+{
+    if (!entryIds[k]) {
+        ::new (&entries[entryCount]) L2Entry();
+        entryIds[k] = ++entryCount;
+    }
+    return wayEntry(k);
+}
+
+Addr *
+DirController::findTag(Addr region)
+{
+    const unsigned s = setIndexOf(region);
+    if (!setBase[s])
+        return nullptr;
+    Addr *const set = tags + firstWay(s);
+    Addr *const end = set + cfg.l2Assoc;
+    Addr *const tag = std::find(set, end, region);
+    return tag == end ? nullptr : tag;
 }
 
 DirController::L2Entry *
 DirController::lookup(Addr region)
 {
-    L2Entry *set = entriesOf(setIndexOf(region));
-    if (!set)
-        return nullptr;
-    for (L2Entry &entry : std::span(set, cfg.l2Assoc)) {
-        if (entry.valid && entry.region == region)
-            return &entry;
-    }
-    return nullptr;
+    const Addr *tag = findTag(region);
+    return tag ? &wayEntry(tag - tags) : nullptr;
 }
 
 bool
@@ -280,7 +324,8 @@ DirController::startRequest(const CoherenceMsg &msg)
     txn.reqRange = msg.range;
     txn.upgrade = msg.upgrade;
     txn.start = eventq.now();
-    txn.covBefore = absState(lookup(msg.region));
+    const L2Entry *hit = lookup(msg.region);
+    txn.covBefore = absState(hit);
     txn.covEvent = msg.type == MsgType::GETS
         ? DirEvent::GetS
         : (msg.upgrade ? DirEvent::Upgrade : DirEvent::GetX);
@@ -288,7 +333,7 @@ DirController::startRequest(const CoherenceMsg &msg)
 
     occupy(cfg.l2Latency);
 
-    if (lookup(msg.region)) {
+    if (hit) {
         probePhase(msg.region);
         return;
     }
@@ -296,21 +341,18 @@ DirController::startRequest(const CoherenceMsg &msg)
     // L2 miss: reserve a slot, possibly recalling an inclusive victim.
     ++stats.l2Misses;
     const unsigned si = setIndexOf(msg.region);
-    L2Entry *entries = entriesOf(si);
-    if (!entries)
-        entries = materialize(si);
-    const std::span<L2Entry> set(entries, cfg.l2Assoc);
-    L2Entry *slot = nullptr;
-    for (auto &entry : set) {
-        if (!entry.valid) {
-            slot = &entry;
-            break;
-        }
-    }
+    const std::size_t first =
+        setBase[si] ? firstWay(si) : materialize(si);
+    const std::size_t end = first + cfg.l2Assoc;
+    const std::size_t free_way =
+        std::find(tags + first, tags + end, kNoRegion) - tags;
 
-    if (!slot) {
-        // Evict the LRU entry that is not mid-transaction.
-        for (auto &entry : set) {
+    if (free_way == end) {
+        // Every way is valid: evict the LRU entry that is not
+        // mid-transaction.
+        const L2Entry *slot = nullptr;
+        for (std::size_t k = first; k < end; ++k) {
+            const L2Entry &entry = wayEntry(k);
             if (entry.filling || busy(entry.region))
                 continue;
             if (!slot || entry.lruStamp < slot->lruStamp)
@@ -322,22 +364,16 @@ DirController::startRequest(const CoherenceMsg &msg)
             // two regions' requests interleave; protocheck's
             // recall-inclusive scenario drives this). Defer behind the
             // first pinning region; its completion drains us a retry.
-            Addr blocker = 0;
-            bool pinned = false;
-            for (auto &entry : set) {
-                if (busy(entry.region)) {
-                    blocker = entry.region;
-                    pinned = true;
-                    break;
-                }
-            }
-            if (!pinned)
+            const Addr *blocker = std::find_if(
+                tags + first, tags + end,
+                [&](Addr region) { return busy(region); });
+            if (blocker == tags + end)
                 panic("dir %u: no evictable L2 entry in set %u",
                       tileId, si);
             active.erase(msg.region);
             --stats.requests;
             --stats.l2Misses;
-            waitPool.push(*waiting.findOrCreate(blocker), msg);
+            waitPool.push(*waiting.findOrCreate(*blocker), msg);
             return;
         }
         const Addr victim = slot->region;
@@ -345,13 +381,15 @@ DirController::startRequest(const CoherenceMsg &msg)
         return;
     }
 
-    slot->valid = true;
-    slot->filling = true;
-    slot->dirty = false;
-    slot->region = msg.region;
-    slot->readers = CoreSet();
-    slot->writers = CoreSet();
-    slot->lruStamp = ++lruClock;
+    tags[free_way] = msg.region;
+    L2Entry &slot = entryForFill(free_way);
+    slot.valid = true;
+    slot.filling = true;
+    slot.dirty = false;
+    slot.region = msg.region;
+    slot.readers = CoreSet();
+    slot.writers = CoreSet();
+    slot.lruStamp = ++lruClock;
     fetchFromMemory(msg.region);
 }
 
@@ -400,15 +438,17 @@ DirController::finishRecall(Addr victim)
     const Addr parent = txn->parentRegion;
     cov(txn->covBefore, DirEvent::Recall, DirState::NP);
 
-    L2Entry *entry = lookup(victim);
-    PROTO_ASSERT(entry, "recall victim vanished");
+    Addr *tag = findTag(victim);
+    PROTO_ASSERT(tag, "recall victim vanished");
+    L2Entry *entry = &wayEntry(tag - tags);
     if (entry->dirty) {
         memImage.writeRange(victim, entry->words.data(),
                             cfg.regionWords());
         stats.memWriteBytes += cfg.regionBytes;
     }
 
-    // Hand the slot to the parent region.
+    // Hand the slot to the parent region (same set, same way).
+    *tag = parent;
     clearAllSharers(*entry);
     entry->valid = true;
     entry->filling = true;
@@ -830,13 +870,14 @@ DirController::saveState(Serializer &s) const
 
     // L2 sets raw, slot by slot: preserves slot positions (and hence
     // the lookup / victim scan order) exactly, stale slots included.
-    // An untouched set reads as value-initialized entries.
+    // A way never filled reads as a value-initialized entry.
     s.writeU32(setsPerTile);
     s.writeU32(cfg.l2Assoc);
     for (unsigned si = 0; si < setsPerTile; ++si) {
-        const L2Entry *set = entriesOf(si);
-        for (unsigned w = 0; w < cfg.l2Assoc; ++w)
-            s.writeRaw(set ? set[w] : kBlankEntry);
+        const std::size_t first = setBase[si] ? firstWay(si) : 0;
+        for (std::size_t k = first; k < first + cfg.l2Assoc; ++k)
+            s.writeRaw(setBase[si] && entryIds[k] ? wayEntry(k)
+                                                  : kBlankEntry);
     }
 
     // Active transactions and wait queues, replayed at restore in the
@@ -894,15 +935,20 @@ DirController::restoreState(Deserializer &d)
                         return false;
                 }
             }
-            touched = touched ||
-                std::memcmp(&e, &kBlankEntry, sizeof(L2Entry)) != 0;
+            touched = touched || !isBlank(e);
         }
-        // Only sets holding a non-default entry take slab space.
-        L2Entry *set = entriesOf(si);
-        if (!set && touched)
-            set = materialize(si);
-        if (set)
-            std::copy(in.begin(), in.end(), set);
+        // Only sets holding a non-blank entry take a tag block, and
+        // only non-blank ways take an entry.
+        if (!setBase[si] && !touched)
+            continue;
+        const std::size_t first =
+            setBase[si] ? firstWay(si) : materialize(si);
+        for (unsigned w = 0; w < cfg.l2Assoc; ++w) {
+            const std::size_t k = first + w;
+            tags[k] = in[w].valid ? in[w].region : kNoRegion;
+            if (entryIds[k] || !isBlank(in[w]))
+                std::memcpy(&entryForFill(k), &in[w], sizeof(L2Entry));
+        }
     }
 
     const std::uint32_t txns = d.readU32();

@@ -34,6 +34,7 @@
 #define PROTOZOA_PROTOCOL_DIR_CONTROLLER_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,7 +43,6 @@
 
 #include "common/config.hh"
 #include "common/core_mask.hh"
-#include "common/page_allocator.hh"
 #include "common/event_queue.hh"
 #include "common/flat_table.hh"
 #include "common/rng.hh"
@@ -63,6 +63,9 @@ class DirController
     DirController(TileId id, const SystemConfig &cfg, EventQueue &eq,
                   Router &router, WordStore &mem_image,
                   ConformanceCoverage *coverage = nullptr);
+    ~DirController();
+    DirController(const DirController &) = delete;
+    DirController &operator=(const DirController &) = delete;
 
     /** Deliver a coherence message from the interconnect. */
     void receive(CoherenceMsg msg);
@@ -125,12 +128,13 @@ class DirController
     forEachEntry(F &&fn) const
     {
         for (unsigned s = 0; s < setsPerTile; ++s) {
-            const L2Entry *set = entriesOf(s);
-            if (!set)
+            if (!setBase[s])
                 continue;
-            for (const L2Entry &e : std::span(set, cfg.l2Assoc)) {
-                if (!e.valid)
+            const std::size_t first = firstWay(s);
+            for (std::size_t k = first; k < first + cfg.l2Assoc; ++k) {
+                if (tags[k] == kNoRegion)
                     continue;
+                const L2Entry &e = wayEntry(k);
                 fn(EntrySnap{e.region, e.filling, e.dirty,
                              e.readers, e.writers,
                              e.lruStamp, s, e.words.data(),
@@ -227,15 +231,18 @@ class DirController
     void saveState(Serializer &s) const;
     bool restoreState(Deserializer &d);
 
-    /** L2 sets given entries so far (each by its first fill). */
-    std::size_t materializedSets() const
-    {
-        return slab.size() / cfg.l2Assoc;
-    }
+    /** L2 sets given a tag block so far (each by its first miss). */
+    std::size_t materializedSets() const { return tagBlocks; }
+    /** L2 entries allocated so far (each by its way's first fill). */
+    std::size_t allocatedEntries() const { return entryCount; }
+    /** The tile's one L2 storage mapping (tag blocks, entries and
+     *  entry ids), for residency checks. */
+    std::span<const std::byte> storageMapping() const;
 
     /**
      * One L2 block + directory entry. Snapshots carry it raw, set by
-     * set; a value-initialized entry is all zero bytes.
+     * set; a value-initialized entry is all zero bytes, and a way never
+     * filled is saved as one.
      */
     struct L2Entry
     {
@@ -289,12 +296,30 @@ class DirController
     Cycle occupy(Cycle latency);
     void sendMsg(CoherenceMsg msg, Cycle when);
 
+    /** Tag of an invalid way: regions are regionBytes-aligned, so no
+     *  region equals it. */
+    static constexpr Addr kNoRegion = ~Addr(0);
+
     unsigned setIndexOf(Addr region) const;
-    /** The l2Assoc entries of set @p s, or nullptr while untouched. */
-    L2Entry *entriesOf(unsigned s);
-    const L2Entry *entriesOf(unsigned s) const;
-    /** Give untouched set @p s its entries at the end of the slab. */
-    L2Entry *materialize(unsigned s);
+    /** Index in tags/entryIds of touched set @p s's way 0. */
+    std::size_t
+    firstWay(unsigned s) const
+    {
+        return std::size_t(setBase[s] - 1) * cfg.l2Assoc;
+    }
+    /** Way @p k's entry; the way must have been filled. */
+    L2Entry &wayEntry(std::size_t k) const
+    {
+        return entries[entryIds[k] - 1];
+    }
+    /** Give untouched set @p s a tag block of invalid ways; returns
+     *  its firstWay. */
+    std::size_t materialize(unsigned s);
+    /** Way @p k's entry, allocated at the end of entries on first use
+     *  (a blank entry, as a never-filled way reads). */
+    L2Entry &entryForFill(std::size_t k);
+    /** The tag holding @p region, or nullptr when it is not cached. */
+    Addr *findTag(Addr region);
     L2Entry *lookup(Addr region);
     /** True when a region has an active txn or queued messages. */
     bool busy(Addr region) const;
@@ -346,16 +371,30 @@ class DirController
     /** Packed into setsPerTile's padding: sweeps build 16 of these per
      *  System, and their malloc size class shows in peak RSS. */
     TileId tileId;
+    /** log2(cfg.regionBytes); validate() requires a power of two. */
+    std::uint8_t regionShift;
     /**
-     * L2 entries of the touched sets, l2Assoc apiece in order of first
-     * fill. Capacity for every set is reserved (address space only) at
-     * construction, so materializing a set never reallocates and entry
-     * pointers stay stable. The reservation is mapped from the OS, not
-     * the heap, so untouched capacity stays non-resident.
+     * L2 storage, sized for every way of every set and carved out of
+     * one PageAllocator mapping, so untouched capacity stays
+     * non-resident and nothing ever moves. Each array is used from its
+     * front:
+     *  - tags: one block of l2Assoc region tags per touched set, in
+     *    order of the set's first miss, kNoRegion on invalid ways (at 8
+     *    ways a block is one 64-byte host line). A tag changes only
+     *    where its entry changes identity: a fill, a recall hand-off
+     *    and restoreState.
+     *  - entries: one L2Entry per way ever filled, in order of first
+     *    fill; a way never filled has none.
+     *  - entryIds: parallel to tags, 1 + the way's index in entries,
+     *    or 0 before its first fill.
      */
-    std::vector<L2Entry, PageAllocator<L2Entry>> slab;
-    /** Per set: 1 + its block index in slab, or 0 while untouched. */
-    std::vector<std::uint32_t> setBase;
+    Addr *tags;
+    L2Entry *entries;
+    std::uint32_t *entryIds;
+    std::uint32_t tagBlocks = 0;
+    std::uint32_t entryCount = 0;
+    /** Per set: 1 + its tag block's index, or 0 while untouched. */
+    std::unique_ptr<std::uint32_t[]> setBase;
 
     // Per-region transaction and wait-queue bookkeeping: flat
     // open-addressing tables plus a pooled FIFO arena, so the
