@@ -125,15 +125,6 @@ enum class DirectoryKind
     TaglessBloom,    ///< Sec. 6: Bloom-summarized sharers (TL-style)
 };
 
-/** Region -> home-tile (L2 slice) mapping function. */
-enum class SliceHashKind
-{
-    Modulo,          ///< region index mod l2Tiles (paper's interleave)
-    Spread,          ///< multiplicative spread hash (FlexiCAS slicehash
-                     ///< idiom): decorrelates strided footprints from
-                     ///< the tile count
-};
-
 /** Fetch-granularity policy used by the L1 on a miss. */
 enum class PredictorKind
 {
@@ -156,8 +147,6 @@ struct SystemConfig
     ProtocolKind protocol = ProtocolKind::ProtozoaMW;
     PredictorKind predictor = PredictorKind::PcSpatial;
     DirectoryKind directory = DirectoryKind::InCacheExact;
-    /** Region -> home-tile mapping (Modulo reproduces the paper). */
-    SliceHashKind sliceHash = SliceHashKind::Modulo;
 
     /** TaglessBloom geometry: buckets per hash table, hash tables. */
     unsigned bloomBuckets = 256;
@@ -276,22 +265,13 @@ struct SystemConfig
      * Home tile (shared-L2 slice / directory bank) of @p region. Every
      * component that needs a region's home — L1 request routing, the
      * directory's recall diagnostics, the protocheck inclusion oracle —
-     * goes through this one mapping so the slice hash stays consistent
-     * system-wide. Modulo is the paper's address interleave; Spread
-     * multiplies the region index by a fixed odd constant and takes
-     * high bits (the FlexiCAS slicehash idiom), so footprints strided
-     * by a multiple of l2Tiles no longer pile onto one tile.
+     * goes through this one mapping, the paper's address interleave
+     * (region index mod l2Tiles).
      */
     unsigned
     homeTileOf(Addr region) const
     {
-        const Addr idx = region / regionBytes;
-        if (sliceHash == SliceHashKind::Spread) {
-            std::uint64_t z = idx * 0x9e3779b97f4a7c15ULL;
-            z ^= z >> 32;
-            return static_cast<unsigned>(z % l2Tiles);
-        }
-        return static_cast<unsigned>(idx % l2Tiles);
+        return static_cast<unsigned>((region / regionBytes) % l2Tiles);
     }
 
     /**

@@ -253,12 +253,14 @@ std::uint64_t
 configFingerprint(const SystemConfig &cfg)
 {
     // simThreads is excluded: validate() pins it to 0, and leaving it
-    // out keeps existing snapshots' fingerprints unchanged.
+    // out keeps existing snapshots' fingerprints unchanged. The fourth
+    // slot held the retired slice-hash choice; it folds the value the
+    // one remaining mapping (modulo) had, so older images still match.
     std::uint64_t h = 0x70726f746f7a6f61ULL; // "protozoa"
     fold(h, static_cast<std::uint64_t>(cfg.protocol));
     fold(h, static_cast<std::uint64_t>(cfg.predictor));
     fold(h, static_cast<std::uint64_t>(cfg.directory));
-    fold(h, static_cast<std::uint64_t>(cfg.sliceHash));
+    fold(h, 0);
     fold(h, cfg.bloomBuckets);
     fold(h, cfg.bloomHashes);
     fold(h, cfg.threeHop);

@@ -89,28 +89,22 @@ crc32(const void *data, std::size_t n)
 
 // ---- TraceWriter ------------------------------------------------------
 
-TraceWriter::TraceWriter(std::ostream &out, Format fmt,
-                         unsigned num_cores, std::size_t chunk_records)
-    : out(out), fmt(fmt), cores(num_cores), chunkRecords(chunk_records)
+TraceWriter::TraceWriter(std::ostream &out, unsigned num_cores,
+                         std::size_t chunk_records)
+    : out(out), cores(num_cores), chunkRecords(chunk_records)
 {
     PROTO_ASSERT(chunkRecords > 0 && chunkRecords <= kMaxChunkRecords,
                  "bad chunk size");
-    if (fmt == Format::Binary) {
-        pending.resize(cores);
-        for (auto &v : pending)
-            v.reserve(chunkRecords);
-        encodeBuf.resize(kChunkHeaderBytes +
-                         chunkRecords * kTraceRecordBytes);
-        std::uint8_t hdr[kFileHeaderBytes];
-        put32(hdr, kTraceMagic);
-        put32(hdr + 4, kTraceVersion);
-        put32(hdr + 8, cores);
-        put32(hdr + 12, 0);
-        out.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
-    } else {
-        out << "# protozoa trace: <core> <L|S> <hex-addr> <hex-pc> "
-               "<gap>\n";
-    }
+    pending.resize(cores);
+    for (auto &v : pending)
+        v.reserve(chunkRecords);
+    encodeBuf.resize(kChunkHeaderBytes + chunkRecords * kTraceRecordBytes);
+    std::uint8_t hdr[kFileHeaderBytes];
+    put32(hdr, kTraceMagic);
+    put32(hdr + 4, kTraceVersion);
+    put32(hdr + 8, cores);
+    put32(hdr + 12, 0);
+    out.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
 }
 
 TraceWriter::~TraceWriter() { finish(); }
@@ -123,12 +117,6 @@ TraceWriter::append(unsigned core, const TraceRecord &rec)
         fatal("trace writer: core %u out of range (%u cores)", core,
               cores);
     ++written;
-    if (fmt == Format::Text) {
-        out << core << ' ' << (rec.isWrite ? 'S' : 'L') << ' '
-            << std::hex << rec.addr << ' ' << rec.pc << std::dec << ' '
-            << rec.gapInstrs << '\n';
-        return;
-    }
     pending[core].push_back(rec);
     if (pending[core].size() >= chunkRecords)
         flushChunk(core);
@@ -164,9 +152,8 @@ TraceWriter::finish()
     if (finished)
         return;
     finished = true;
-    if (fmt == Format::Binary)
-        for (unsigned c = 0; c < cores; ++c)
-            flushChunk(c);
+    for (unsigned c = 0; c < cores; ++c)
+        flushChunk(c);
     out.flush();
 }
 

@@ -3,9 +3,10 @@
  * Streaming trace front end: bounded-memory trace ingest for
  * long-horizon runs.
  *
- * The load-it-all `readTrace`/`VectorTrace` path tops out at what fits
- * in RAM; "millions of users" means billions of accesses. This layer
- * adds:
+ * PZTR is the simulator's one on-disk trace format: a capture tool
+ * writes it through TraceWriter and a run reads it through
+ * StreamingTraceFile, in memory bounded by the chunk size rather than
+ * the trace length. This layer provides:
  *
  *  - PZTR, a binary chunked trace format. A file is a fixed header
  *    followed by self-framed chunks, each carrying up to a few thousand
@@ -13,9 +14,9 @@
  *    whole chunk to its core queue without touching individual records
  *    and can detect truncation/corruption at chunk granularity.
  *
- *  - TraceWriter, an append-records-incrementally writer (text or
- *    binary): a capture tool can emit records as they happen with
- *    O(chunk) memory.
+ *  - TraceWriter, an append-records-incrementally PZTR writer: a
+ *    capture tool can emit records as they happen with O(chunk)
+ *    memory.
  *
  *  - StreamingTraceFile / StreamingTraceSource: per-core TraceSource
  *    views over one shared chunked reader. Each core scans the file
@@ -70,23 +71,19 @@ constexpr std::size_t kMaxChunkRecords = 1u << 20;
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
- * Incremental trace writer: append records one at a time, in any core
- * order, with O(cores * chunk) memory. It is the only writer of both
- * the text format (read back by readTrace) and PZTR.
+ * Incremental PZTR writer: append records one at a time, in any core
+ * order, with O(cores * chunk) memory.
  */
 class TraceWriter
 {
   public:
-    enum class Format { Text, Binary };
-
     /**
-     * @param out           destination stream (binary mode for Binary).
-     * @param fmt           text (human-readable) or PZTR binary.
+     * @param out           destination stream, opened in binary mode.
      * @param num_cores     cores the trace covers; appends for cores
      *                      beyond this are a fatal error.
-     * @param chunk_records batching granularity for the binary format.
+     * @param chunk_records records per chunk.
      */
-    TraceWriter(std::ostream &out, Format fmt, unsigned num_cores,
+    TraceWriter(std::ostream &out, unsigned num_cores,
                 std::size_t chunk_records = kDefaultChunkRecords);
 
     ~TraceWriter();
@@ -106,7 +103,6 @@ class TraceWriter
     void flushChunk(unsigned core);
 
     std::ostream &out;
-    Format fmt;
     unsigned cores;
     std::size_t chunkRecords;
     std::uint64_t written = 0;
@@ -247,7 +243,7 @@ class GeneratorTraceSource : public TraceSource
  * Deterministic synthetic stream for long-horizon runs: a per-core mix
  * of private streaming, hot shared-region reads and occasional shared
  * writes, generated chunk-at-a-time from (seed, core, chunk_index).
- * The long-horizon CI job and bench/microbench_stream use this to
+ * The long-horizon CI job and `microbench stream` use this to
  * drive multi-100M-record runs without a trace file.
  */
 GeneratorTraceSource::Refill

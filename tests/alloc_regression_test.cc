@@ -144,8 +144,7 @@ TEST(AllocRegression, StreamedSteadyStateIsAllocationFree)
     const std::string path = "alloc_regression_stream.pztr";
     {
         std::ofstream out(path, std::ios::binary);
-        TraceWriter w(out, TraceWriter::Format::Binary, cfg.numCores,
-                      256);
+        TraceWriter w(out, cfg.numCores, 256);
         Workload src = hotPoolWorkload(cfg, kAccessesPerCore);
         TraceRecord rec;
         bool more = true;

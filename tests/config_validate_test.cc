@@ -4,14 +4,13 @@
  * rejection paths (core counts past kMaxCores, degenerate meshes,
  * undersized L2 tiles, a non-zero simThreads), the protocol and
  * predictor checks, the protocol table against docs/PROTOCOL.md, the
- * watchdog horizon's mesh scaling, and the region -> home-tile slice
- * hashes.
+ * watchdog horizon's mesh scaling, and the region -> home-tile
+ * interleave.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -216,39 +215,6 @@ TEST(SliceHash, ModuloMatchesThePaperInterleave)
     for (unsigned idx = 0; idx < 64; ++idx) {
         const Addr region = Addr(idx) * cfg.regionBytes;
         EXPECT_EQ(cfg.homeTileOf(region), idx % cfg.l2Tiles);
-    }
-}
-
-TEST(SliceHash, SpreadStaysInRangeAndDecorrelatesStrides)
-{
-    SystemConfig cfg = meshConfig(64, 8, 8);
-    cfg.sliceHash = SliceHashKind::Spread;
-
-    // The adversarial footprint: regions strided by l2Tiles. Modulo
-    // piles every one onto tile 0; Spread must fan them out.
-    std::set<unsigned> moduloTiles, spreadTiles;
-    SystemConfig modulo = cfg;
-    modulo.sliceHash = SliceHashKind::Modulo;
-    for (unsigned i = 0; i < 1024; ++i) {
-        const Addr region =
-            Addr(i) * cfg.l2Tiles * cfg.regionBytes;
-        const unsigned home = cfg.homeTileOf(region);
-        ASSERT_LT(home, cfg.l2Tiles);
-        spreadTiles.insert(home);
-        moduloTiles.insert(modulo.homeTileOf(region));
-    }
-    EXPECT_EQ(moduloTiles.size(), 1u);
-    EXPECT_GT(spreadTiles.size(), cfg.l2Tiles / 2);
-}
-
-TEST(SliceHash, SpreadIsDeterministic)
-{
-    SystemConfig a = meshConfig(16, 4, 4);
-    SystemConfig b = meshConfig(16, 4, 4);
-    a.sliceHash = b.sliceHash = SliceHashKind::Spread;
-    for (unsigned i = 0; i < 256; ++i) {
-        const Addr region = Addr(i) * a.regionBytes;
-        EXPECT_EQ(a.homeTileOf(region), b.homeTileOf(region));
     }
 }
 

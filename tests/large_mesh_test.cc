@@ -2,14 +2,11 @@
  * @file
  * Wide-mesh regression tests: the 64-core 8x8 explorer path (the
  * `(1 << numCores) - 1` shift overflow lived here), a 256-core
- * end-to-end smoke with full-width sharer masks, the mesh-scaled
- * watchdog horizon on an 8x8 recall storm, and the Spread slice hash
- * driven through a real system.
+ * end-to-end smoke with full-width sharer masks and the mesh-scaled
+ * watchdog horizon on an 8x8 recall storm.
  */
 
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "check/explorer.hh"
 #include "check/scenario.hh"
@@ -149,34 +146,6 @@ TEST(LargeMeshWatchdog, FlatReferenceBoundFalsePositivesAt8x8)
     EXPECT_GT(reports, 0u);
     // Healthy despite the alarms: every access completed and the
     // coherence invariant holds.
-    EXPECT_EQ(d.sys.checkCoherenceInvariant(), std::nullopt);
-}
-
-TEST(LargeMeshSliceHash, SpreadRoutesAndReturnsCorrectValues)
-{
-    SystemConfig cfg; // 16-core 4x4 paper machine
-    cfg.sliceHash = SliceHashKind::Spread;
-    cfg.validate();
-    ProtocolDriver d(cfg);
-
-    // The modulo-adversarial stride: every region lands on tile 0
-    // under Modulo; Spread fans them across tiles. Values must be
-    // exact either way.
-    const Addr base = 0x40000000;
-    std::set<unsigned> homes;
-    for (unsigned i = 0; i < 8; ++i) {
-        const Addr addr = base + Addr(i) * cfg.l2Tiles * cfg.regionBytes;
-        homes.insert(cfg.homeTileOf(addr));
-        d.store(static_cast<CoreId>(i % cfg.numCores), addr,
-                0x5100 + i);
-    }
-    for (unsigned i = 0; i < 8; ++i) {
-        const Addr addr = base + Addr(i) * cfg.l2Tiles * cfg.regionBytes;
-        EXPECT_EQ(d.load(static_cast<CoreId>((i + 1) % cfg.numCores),
-                         addr),
-                  0x5100u + i);
-    }
-    EXPECT_GT(homes.size(), 1u);
     EXPECT_EQ(d.sys.checkCoherenceInvariant(), std::nullopt);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Streaming trace front end tests: PZTR binary round-trip against the
- * in-memory reference, text/binary writer equivalence, chunk-level
- * corruption and truncation detection, generator-stream determinism
+ * in-memory reference, chunk-level corruption, truncation and framing
+ * rejection, generator-stream determinism
  * and seek semantics, and an end-to-end simulation digest lock between
  * a fully materialized workload and its streamed twin.
  */
@@ -20,7 +20,6 @@
 #include "protozoa/protozoa.hh"
 #include "stats_digest.hh"
 #include "workload/streaming_trace.hh"
-#include "workload/trace_io.hh"
 
 namespace protozoa {
 namespace {
@@ -51,8 +50,7 @@ writeBinaryFile(const std::string &path,
                 std::size_t chunk_records = 64)
 {
     std::ofstream out(path, std::ios::binary);
-    TraceWriter w(out, TraceWriter::Format::Binary,
-                  static_cast<unsigned>(recs.size()), chunk_records);
+    TraceWriter w(out, static_cast<unsigned>(recs.size()), chunk_records);
     // Interleave cores so chunks from different cores alternate in the
     // file — the reader must route chunks, not assume grouping.
     std::size_t longest = 0;
@@ -63,6 +61,37 @@ writeBinaryFile(const std::string &path,
             if (i < recs[c].size())
                 w.append(c, recs[c][i]);
     w.finish();
+}
+
+/** Overwrite the little-endian u32 at byte @p off of @p path. */
+void
+patch32(const std::string &path, std::streamoff off, std::uint32_t v)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(off);
+    for (int i = 0; i < 4; ++i)
+        f.put(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/** Byte offsets of the first chunk header's fields (after the 16-byte
+ *  file header): magic, core, record count, payload bytes. */
+constexpr std::streamoff kChunkMagicOff = 16;
+constexpr std::streamoff kChunkCoreOff = 20;
+constexpr std::streamoff kChunkCountOff = 24;
+constexpr std::streamoff kChunkBytesOff = 28;
+
+/** Read core 0's whole stream; dies on the first malformed chunk. */
+void
+drainCore0(const std::string &path)
+{
+    std::string err;
+    auto file = StreamingTraceFile::open(path, &err);
+    if (!file)
+        return;
+    Workload wl = file->makeWorkload();
+    TraceRecord r;
+    while (wl[0]->next(r)) {
+    }
 }
 
 void
@@ -98,30 +127,10 @@ TEST(StreamingTrace, BinaryRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(StreamingTrace, TextWriterMatchesLegacyFormat)
-{
-    // The incremental text writer must produce a stream readTrace()
-    // parses back to the identical records.
-    const unsigned cores = 3;
-    const auto recs = randomRecords(cores, 0xf00d, 20, 60);
-
-    std::ostringstream out;
-    {
-        TraceWriter w(out, TraceWriter::Format::Text, cores);
-        for (unsigned c = 0; c < cores; ++c)
-            for (const TraceRecord &r : recs[c])
-                w.append(c, r);
-    } // dtor finishes
-    std::istringstream in(out.str());
-    Workload wl = readTrace(in, cores);
-    for (unsigned c = 0; c < cores; ++c)
-        expectSameStream(*wl[c], recs[c]);
-}
-
 TEST(StreamingTrace, RecordsWrittenCounts)
 {
     std::ostringstream out;
-    TraceWriter w(out, TraceWriter::Format::Binary, 2, 8);
+    TraceWriter w(out, 2, 8);
     TraceRecord r;
     for (int i = 0; i < 21; ++i)
         w.append(i % 2, r);
@@ -205,6 +214,57 @@ TEST(StreamingTraceDeath, DetectsPayloadCorruption)
             }
         },
         "CRC mismatch");
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, RejectsChunkNamingAbsentCore)
+{
+    const std::string path = "streaming_trace_test_core.pztr";
+    writeBinaryFile(path, randomRecords(2, 0xc0de, 50, 100), 32);
+    patch32(path, kChunkCoreOff, 2);
+    EXPECT_DEATH(drainCore0(path), "chunk names core 2 of 2");
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, RejectsImplausibleChunkFraming)
+{
+    // 32 records of 20 bytes per chunk: zero records, more than a
+    // chunk may hold, and a byte length that disagrees with the count.
+    const struct
+    {
+        std::streamoff off;
+        std::uint32_t value;
+    } patches[] = {
+        {kChunkCountOff, 0},
+        {kChunkCountOff, static_cast<std::uint32_t>(kMaxChunkRecords + 1)},
+        {kChunkBytesOff, 32 * 20 + 1},
+    };
+    const std::string path = "streaming_trace_test_framing.pztr";
+    for (const auto &p : patches) {
+        writeBinaryFile(path, randomRecords(2, 0xf4a3, 50, 100), 32);
+        patch32(path, p.off, p.value);
+        EXPECT_DEATH(drainCore0(path), "implausible chunk framing")
+            << "field at byte " << p.off << " = " << p.value;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, RejectsBadChunkMagic)
+{
+    const std::string path = "streaming_trace_test_magic.pztr";
+    writeBinaryFile(path, randomRecords(2, 0x3a61c, 50, 100), 32);
+    patch32(path, kChunkMagicOff, 0x4b435a51u); // "QZCK"
+    EXPECT_DEATH(drainCore0(path), "bad chunk magic");
+    std::remove(path.c_str());
+}
+
+TEST(StreamingTraceDeath, RejectsTruncatedChunkHeader)
+{
+    // The file ends 10 bytes into the first chunk header.
+    const std::string path = "streaming_trace_test_hdr.pztr";
+    writeBinaryFile(path, randomRecords(2, 0x7bc, 50, 100), 32);
+    ASSERT_EQ(truncate(path.c_str(), 16 + 10), 0);
+    EXPECT_DEATH(drainCore0(path), "truncated chunk header");
     std::remove(path.c_str());
 }
 
